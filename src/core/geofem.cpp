@@ -114,8 +114,8 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
     try {
       auto op = p->coarse_numeric(sys.a);
       rep.coarse_dim = op->dim();
-      prec = std::make_unique<precond::TwoLevel>(std::move(prec), std::move(op), sys.a,
-                                                 cfg.coarse.mode);
+      prec = std::make_unique<precond::TwoLevel>(std::move(prec), std::move(op),
+                                                 precond::matvec_of(sys.a), cfg.coarse.mode);
     } catch (const Error& e) {
       if (e.code() != StatusCode::kFactorizationFailed) throw;
       rep.coarse_status = coarse::SetupStatus::kDegraded;

@@ -9,8 +9,8 @@
 #include "par/par.hpp"
 #include "plan/plan.hpp"
 #include "precond/diagonal.hpp"
+#include "precond/two_level.hpp"
 #include "simd/block3.hpp"
-#include "sparse/vector_ops.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -47,14 +47,6 @@ void halo_complete(Comm& comm, const part::LocalSystem& ls, std::vector<double>&
   }
 }
 
-/// Blocking halo exchange (the non-overlapped matvec path). The per-link
-/// message sequence is identical to the overlapped path: send all, recv all.
-void halo_exchange(Comm& comm, const part::LocalSystem& ls, std::vector<double>& v,
-                   std::vector<double>& sendbuf) {
-  halo_post_sends(comm, ls, v, sendbuf);
-  halo_complete(comm, ls, v);
-}
-
 /// y[rows] = A_local[rows] * v with accumulator kernel `Acc`. Rows write
 /// disjoint y blocks and keep the serial per-row accumulation order
 /// (bit-identical for any team size). Using the same micro-kernel family as
@@ -63,7 +55,7 @@ void halo_exchange(Comm& comm, const part::LocalSystem& ls, std::vector<double>&
 /// every SIMD configuration.
 template <class Acc>
 void spmv_rows_impl(const part::LocalSystem& ls, const std::vector<int>& rows,
-                    const std::vector<double>& v, std::vector<double>& y) {
+                    const std::vector<double>& v, std::span<double> y) {
   const auto& a = ls.a;
   const int team = par::threads();
   const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(rows.size());
@@ -79,7 +71,7 @@ void spmv_rows_impl(const part::LocalSystem& ls, const std::vector<int>& rows,
 }
 
 void spmv_rows(const part::LocalSystem& ls, const std::vector<int>& rows,
-               const std::vector<double>& v, std::vector<double>& y) {
+               const std::vector<double>& v, std::span<double> y) {
 #if GEOFEM_SIMD_HAS_AVX2
   if (simd::active() == simd::Isa::kAvx2) {
     spmv_rows_impl<simd::AvxAcc3>(ls, rows, v, y);
@@ -89,35 +81,35 @@ void spmv_rows(const part::LocalSystem& ls, const std::vector<int>& rows,
   spmv_rows_impl<simd::ScalarAcc3>(ls, rows, v, y);
 }
 
-/// y (internal rows) = A_local * v (all local columns).
-template <class Acc>
-void local_spmv_impl(const part::LocalSystem& ls, const std::vector<double>& v,
-                     std::vector<double>& y) {
-  const auto& a = ls.a;
-  const int team = par::threads();
-#pragma omp parallel for schedule(static) num_threads(team) if (team > 1)
-  for (int i = 0; i < ls.num_internal; ++i) {
-    Acc acc;
-    acc.init_zero();
-    for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e)
-      acc.madd(a.block(e), v.data() + static_cast<std::size_t>(a.colind[e]) * 3);
-    acc.reduce(&y[static_cast<std::size_t>(i) * 3]);
-  }
-}
+/// pcg's reduction hook on a Comm: blocking sums are allreduces, and the
+/// split-phase post/wait is Comm::iallreduce_sum / Comm::wait. Single values
+/// take the scalar allreduce (the rendezvous path; no messages).
+class CommReduction final : public solver::Reduction {
+ public:
+  explicit CommReduction(Comm& comm) : comm_(comm) {}
 
-void local_spmv(const part::LocalSystem& ls, const std::vector<double>& v,
-                std::vector<double>& y, util::FlopCounter* fc) {
-#if GEOFEM_SIMD_HAS_AVX2
-  if (simd::active() == simd::Isa::kAvx2) {
-    local_spmv_impl<simd::AvxAcc3>(ls, v, y);
-  } else
-#endif
-  {
-    local_spmv_impl<simd::ScalarAcc3>(ls, v, y);
+  void sum(std::span<double> v) override {
+    if (v.size() == 1) {
+      v[0] = comm_.allreduce_sum(v[0]);
+      return;
+    }
+    const std::vector<double> g = comm_.allreduce_sum(std::span<const double>(v));
+    std::copy(g.begin(), g.end(), v.begin());
   }
-  // Internal rows are 0..num_internal-1, so the block count is structural.
-  if (fc) fc->spmv += 2ULL * sparse::kBB * static_cast<std::uint64_t>(ls.a.rowptr[ls.num_internal]);
-}
+  void post(std::span<double> v) override {
+    pending_ = comm_.iallreduce_sum(v);
+    posted_ = v;
+  }
+  void wait() override {
+    const std::vector<double> g = comm_.wait(pending_);
+    std::copy(g.begin(), g.end(), posted_.begin());
+  }
+
+ private:
+  Comm& comm_;
+  PendingReduce pending_;
+  std::span<double> posted_;
+};
 
 }  // namespace
 
@@ -188,8 +180,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     // Hybrid execution: every kernel this rank thread calls (SpMV, BLAS-1,
     // preconditioner sweeps) runs on a team of opt.threads OpenMP threads.
     par::TeamScope team_scope(opt.threads);
-    const part::LocalSystem::RowSplit split =
-        opt.overlap ? ls.row_split() : part::LocalSystem::RowSplit{};
+    const part::LocalSystem::RowSplit split = ls.row_split();
 
     // Per-rank telemetry: each rank owns a registry for the duration of the
     // solve; snapshots are gathered to rank 0 below. Attaching it also routes
@@ -208,12 +199,23 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         rank_reg.gauge("dist.boundary_rows")->set(static_cast<double>(split.boundary.size()));
     }
 
-    // Progress state, hoisted above the try so a timeout can still report how
-    // far the rank got (iterations, last residual, recorded history).
+    // Progress across CG attempts, hoisted above the try so a timeout can
+    // still report how far the rank got. `cg` is the attempt in flight: pcg
+    // fills it in place, so a hook that throws leaves its progress readable.
+    solver::CGResult cg;
+    bool in_flight = false;
     int total_iters = 0;
-    double bnorm = 0.0;
-    double rnorm = 0.0;
+    double last_rel = std::numeric_limits<double>::quiet_NaN();  // NaN: no norm yet
     std::vector<double> history;
+    // Folds the attempt in `cg` into the rank totals.
+    auto absorb = [&] {
+      in_flight = false;
+      total_iters += cg.iterations;
+      if (!std::isnan(cg.relative_residual)) last_rel = cg.relative_residual;
+      history.insert(history.end(), cg.residual_history.begin(), cg.residual_history.end());
+      *fc += cg.flops;
+      lp->merge(cg.loops);
+    };
 
     // Everything that communicates runs under this try: once a blocking
     // operation times out (injected fault, dead neighbour), the rank records
@@ -319,382 +321,71 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           opt.telemetry ? rank_reg.span_begin("dist.solve") : std::size_t{0};
       util::Timer solve_timer;
 
-      std::vector<double> x(nl, 0.0), p(nl, 0.0), sendbuf;
-      std::vector<double> r(ni), z(ni), q(ni);
-
-      // One matvec: q/out = A_local * v, with the halo exchange either
-      // blocking (overlap off) or hidden behind the interior-row SpMV.
-      // Interior rows read only internal columns, which the receives never
-      // touch, so overlapping them with message delivery is legal; per-row
-      // arithmetic and the per-link message sequence are identical either
-      // way, hence bit-identical residual histories.
-      auto matvec = [&](std::vector<double>& v, std::vector<double>& out) {
-        if (!opt.overlap) {
-          halo_exchange(comm, ls, v, sendbuf);
-          local_spmv(ls, v, out, fc);
-          return;
-        }
-        halo_post_sends(comm, ls, v, sendbuf);
-        spmv_rows(ls, split.interior, v, out);
-        halo_complete(comm, ls, v);
-        spmv_rows(ls, split.boundary, v, out);
-        fc->spmv +=
-            2ULL * sparse::kBB * static_cast<std::uint64_t>(ls.a.rowptr[ls.num_internal]);
+      // The halo-exchanging matvec over the internal rows: `in` is copied
+      // into the local-size scratch whose external slots receive the
+      // neighbours' boundary values (paper Fig 4). With overlap, the interior
+      // rows — which read only internal columns, untouched by the receives —
+      // run while the messages are in flight. Per-row arithmetic and the
+      // per-link message sequence are the same either way, hence
+      // bit-identical residual histories.
+      std::vector<double> halo(nl, 0.0), sendbuf;
+      const solver::MatVec matvec = [&](std::span<const double> in, std::span<double> out,
+                                        util::FlopCounter* f, util::LoopStats*) {
+        std::copy(in.begin(), in.end(), halo.begin());
+        halo_post_sends(comm, ls, halo, sendbuf);
+        if (!opt.overlap) halo_complete(comm, ls, halo);
+        spmv_rows(ls, split.interior, halo, out);
+        if (opt.overlap) halo_complete(comm, ls, halo);
+        spmv_rows(ls, split.boundary, halo, out);
+        if (f)
+          f->spmv +=
+              2ULL * sparse::kBB * static_cast<std::uint64_t>(ls.a.rowptr[ls.num_internal]);
       };
+      CommReduction red(comm);
 
-      // Coarse-aware preconditioner application. The coarse residual is a
-      // global quantity: each rank restricts its internal rows, the coarse
-      // vectors are allreduced (rank-ascending, bit-identical everywhere) and
-      // the replicated A_c is solved redundantly. Every rank runs the same
+      // The coarse level wraps whichever one-level preconditioner an attempt
+      // uses. Its restricted residual is a global quantity, summed through
+      // the same Comm (rank-ascending, bit-identical everywhere) before the
+      // replicated A_c is solved redundantly; every rank runs the same
       // collective sequence per apply, so CG's lockstep is preserved.
-      std::vector<double> cyc, cq, cv, ct, cz1, cmz;
-      if (cop) {
-        cyc.resize(static_cast<std::size_t>(cop->dim()));
-        if (opt.coarse.mode == coarse::Mode::kDeflated) {
-          cq.assign(nl, 0.0);
-          cv.resize(ni);
-          ct.resize(ni);
-          cz1.resize(ni);
-          cmz.assign(nl, 0.0);
-        }
-      }
-      auto coarse_solve_global = [&](std::span<const double> fine) {
-        cop->restrict_residual(fine, cyc, fc);
-        const std::vector<double> gy = comm.allreduce_sum(std::span<const double>(cyc));
-        std::copy(gy.begin(), gy.end(), cyc.begin());
-        cop->solve(cyc, fc);
+      const precond::TwoLevel::CoarseSum coarse_sum = [&red](std::span<double> v) {
+        red.sum(v);
       };
-      auto apply_precond = [&](const precond::Preconditioner& m, std::vector<double>& rr,
-                               std::vector<double>& zz) {
-        if (!cop) {
-          m.apply(rr, zz, fc, lp);
-          return;
-        }
-        coarse_solve_global(rr);  // cyc = A_c^-1 R r
-        if (opt.coarse.mode == coarse::Mode::kAdditive) {
-          m.apply(rr, zz, fc, lp);
-          cop->prolongate_add(cyc, zz, fc);
-          return;
-        }
-        // Deflated (BNN): z = q + (I - QA) M^-1 (r - A q), q = Q r.
-        std::fill(cq.begin(), cq.end(), 0.0);
-        cop->prolongate_add(cyc, cq, fc);  // q = P yc (internal part)
-        matvec(cq, cv);                    // cv = A q
-        for (std::size_t i = 0; i < ni; ++i) ct[i] = rr[i] - cv[i];
-        m.apply(ct, cz1, fc, lp);          // cz1 = M^-1 (r - A q)
-        std::copy(cz1.begin(), cz1.end(), cmz.begin());
-        matvec(cmz, cv);                   // cv = A cz1
-        coarse_solve_global(cv);           // cyc = A_c^-1 R A cz1
-        for (std::size_t i = 0; i < ni; ++i) zz[i] = cq[i] + cz1[i];
-        for (double& v : cyc) v = -v;
-        cop->prolongate_add(cyc, zz, fc);  // z -= P A_c^-1 R A cz1
-        fc->blas1 += 3 * ni;
+      auto with_coarse = [&](precond::PreconditionerPtr m) -> precond::PreconditionerPtr {
+        if (!cop) return m;
+        return std::make_unique<precond::TwoLevel>(std::move(m), cop, matvec, opt.coarse.mode,
+                                                   coarse_sum);
       };
 
-      // r = b (zero initial guess)
-      for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i];
-      bnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(ls.b), std::span(ls.b), fc)));
-      GEOFEM_CHECK(bnorm > 0.0, "distributed pcg: zero rhs");
-      rnorm = bnorm;
-      if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-
-      // One CG attempt against `m`, continuing from the current x/r/rnorm and
-      // drawing on the shared iteration budget. Every exit decision derives
-      // from allreduced scalars, so all ranks leave with the same status.
-      auto cg_loop = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        double rho_prev = 0.0;
-        int it = 0;
-        SolveStatus s = SolveStatus::kMaxIterations;
-        while (total_iters < cgopt.max_iterations && rnorm / bnorm > cgopt.tolerance) {
-          apply_precond(m, r, z);
-          const double rho = comm.allreduce_sum(sparse::dot(std::span(r), std::span(z), fc));
-          if (!(rho > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          if (it == 0) {
-            for (std::size_t i = 0; i < ni; ++i) p[i] = z[i];
-          } else {
-            const double beta = rho / rho_prev;
-            for (std::size_t i = 0; i < ni; ++i) p[i] = z[i] + beta * p[i];
-            fc->blas1 += 2 * ni;
-          }
-          rho_prev = rho;
-
-          matvec(p, q);
-          const double pq =
-              comm.allreduce_sum(sparse::dot(std::span(p).first(ni), std::span(q), fc));
-          if (!(pq > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          const double alpha = rho / pq;
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-          }
-          fc->blas1 += 4 * ni;
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          ++total_iters;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          if (!std::isfinite(rnorm)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          // Slot it % W holds the relative residual from W iterations ago by
-          // the time iteration `it` reads it: slots 0..W-1 are all written
-          // before the first comparison at it == W (mirrors the serial pcg).
-          if (window > 0) {
-            const double rel = rnorm / bnorm;
-            const auto slot = static_cast<std::size_t>(it % window);
-            if (it >= window && rel > 0.99 * ring[slot]) {
-              s = SolveStatus::kStagnated;
-              break;
-            }
-            ring[slot] = rel;
-          }
-          ++it;
-        }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
-      };
-
-      // Gropp's two-overlap CG: two split-phase reductions per iteration,
-      // δ = (p,s) completing behind q = M⁻¹s and the fused {γ' = (r,u),
-      // ||r||²} completing behind w = Au. Every exit decision derives from
-      // the reduced (rank-identical) values, so lockstep is preserved; the
-      // reduction chain is the same fixed-shape rank-ascending combine as the
-      // blocking allreduce, so the trajectory is bit-identical across team
-      // sizes and overlap settings.
-      auto cg_loop_gropp = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        std::vector<double> u(ni), s_(ni), w(ni), mq(ni), vnl(nl, 0.0);
-        SolveStatus s = SolveStatus::kMaxIterations;
-
-        apply_precond(m, r, u);  // u = M^-1 r
-        for (std::size_t i = 0; i < ni; ++i) p[i] = u[i];
-        matvec(p, s_);  // s = A p
-        double gamma = comm.allreduce_sum(sparse::dot(std::span(r), std::span(u), fc));
-
-        int it = 0;
-        while (total_iters < cgopt.max_iterations && rnorm / bnorm > cgopt.tolerance) {
-          if (!(gamma > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          // Reduction 1 in flight while the preconditioner runs.
-          const double dpart = sparse::dot(std::span(p).first(ni), std::span(s_), fc);
-          PendingReduce h1 = comm.iallreduce_sum(std::span<const double>(&dpart, 1));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            apply_precond(m, s_, mq);  // q = M^-1 s
-          }
-          const double delta = comm.wait(h1)[0];
-          if (!(delta > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          const double alpha = gamma / delta;
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * s_[i];
-            u[i] -= alpha * mq[i];
-          }
-          fc->blas1 += 6 * ni;
-          // Reduction 2 (fused γ', ||r||²) in flight while the SpMV runs.
-          const double fused[2] = {sparse::dot(std::span(r), std::span(u), fc),
-                                   sparse::dot(std::span(r), std::span(r), fc)};
-          PendingReduce h2 = comm.iallreduce_sum(std::span<const double>(fused, 2));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            std::copy(u.begin(), u.end(), vnl.begin());
-            matvec(vnl, w);  // w = A u
-          }
-          const std::vector<double> g = comm.wait(h2);
-          const double beta = g[0] / gamma;
-          for (std::size_t i = 0; i < ni; ++i) {
-            p[i] = u[i] + beta * p[i];
-            s_[i] = w[i] + beta * s_[i];
-          }
-          fc->blas1 += 4 * ni;
-          gamma = g[0];
-          rnorm = std::sqrt(g[1]);
-          ++total_iters;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          if (!std::isfinite(rnorm)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          if (window > 0) {
-            const double rel = rnorm / bnorm;
-            const auto slot = static_cast<std::size_t>(it % window);
-            if (it >= window && rel > 0.99 * ring[slot]) {
-              s = SolveStatus::kStagnated;
-              break;
-            }
-            ring[slot] = rel;
-          }
-          ++it;
-        }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
-      };
-
-      // Ghysels–Vanroose pipelined CG: ONE fused split-phase reduction per
-      // iteration {γ = (r,u), δ = (w,u), ||r||²}, completing behind BOTH the
-      // preconditioner application and the SpMV of the same iteration. The
-      // residual norm of iteration `it` arrives with iteration it+1's
-      // reduction, so history/stagnation probes lag one slot (mirrors the
-      // serial attempt). Four extra recurrence vectors.
-      auto cg_loop_pipelined = [&](const precond::Preconditioner& m) -> SolveStatus {
-        const int window = cgopt.stagnation_window;
-        std::vector<double> ring(window > 0 ? static_cast<std::size_t>(window) : 0);
-        std::vector<double> u(ni), w(ni), mv(ni), nv(ni), zv(ni), qv(ni), sv(ni), pv(ni);
-        std::vector<double> vnl(nl, 0.0);
-        SolveStatus s = SolveStatus::kMaxIterations;
-
-        apply_precond(m, r, u);  // u = M^-1 r
-        std::copy(u.begin(), u.end(), vnl.begin());
-        matvec(vnl, w);  // w = A u
-
-        double gamma_prev = 0.0, alpha_prev = 0.0;
-        for (int it = 0;; ++it) {
-          const double fused[3] = {sparse::dot(std::span(r), std::span(u), fc),
-                                   sparse::dot(std::span(w), std::span(u), fc),
-                                   sparse::dot(std::span(r), std::span(r), fc)};
-          PendingReduce h = comm.iallreduce_sum(std::span<const double>(fused, 3));
-          {
-            obs::ScopedSpan ov("pcg.overlap");
-            apply_precond(m, w, mv);  // m = M^-1 w
-            std::copy(mv.begin(), mv.end(), vnl.begin());
-            matvec(vnl, nv);  // n = A m
-          }
-          const std::vector<double> g = comm.wait(h);
-          const double gamma = g[0];
-          const double delta = g[1];
-          rnorm = std::sqrt(g[2]);
-          const double rel = rnorm / bnorm;
-          if (it > 0) {
-            if (cgopt.record_residuals) history.push_back(rel);
-            if (!std::isfinite(rnorm)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            if (window > 0) {
-              const auto slot = static_cast<std::size_t>((it - 1) % window);
-              if (it - 1 >= window && rel > 0.99 * ring[slot]) {
-                s = SolveStatus::kStagnated;
-                break;
-              }
-              ring[slot] = rel;
-            }
-          }
-          if (rel <= cgopt.tolerance) {
-            s = SolveStatus::kConverged;
-            break;
-          }
-          if (total_iters >= cgopt.max_iterations) break;
-          if (!(gamma > 0.0)) {
-            s = SolveStatus::kBreakdown;
-            break;
-          }
-          double alpha = 0.0, beta = 0.0;
-          if (it == 0) {
-            if (!(delta > 0.0)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            alpha = gamma / delta;
-          } else {
-            beta = gamma / gamma_prev;
-            const double denom = delta - beta * gamma / alpha_prev;
-            if (!(denom > 0.0) || !std::isfinite(denom)) {
-              s = SolveStatus::kBreakdown;
-              break;
-            }
-            alpha = gamma / denom;
-          }
-          if (it == 0) {
-            std::copy(nv.begin(), nv.end(), zv.begin());
-            std::copy(mv.begin(), mv.end(), qv.begin());
-            std::copy(w.begin(), w.end(), sv.begin());
-            std::copy(u.begin(), u.end(), pv.begin());
-          } else {
-            for (std::size_t i = 0; i < ni; ++i) {
-              zv[i] = nv[i] + beta * zv[i];
-              qv[i] = mv[i] + beta * qv[i];
-              sv[i] = w[i] + beta * sv[i];
-              pv[i] = u[i] + beta * pv[i];
-            }
-            fc->blas1 += 8 * ni;
-          }
-          for (std::size_t i = 0; i < ni; ++i) {
-            x[i] += alpha * pv[i];
-            r[i] -= alpha * sv[i];
-            u[i] -= alpha * qv[i];
-            w[i] -= alpha * zv[i];
-          }
-          fc->blas1 += 8 * ni;
-          gamma_prev = gamma;
-          alpha_prev = alpha;
-          ++total_iters;
-
-          // Periodic residual replacement (mirrors the serial attempt): every
-          // rank rebuilds its recurrence vectors at the same iteration — halo
-          // exchanges and any coarse collectives inside apply_precond run in
-          // the same order everywhere, so lockstep is preserved. No global
-          // reductions are added.
-          const int replace = cgopt.pipeline_replace_interval;
-          if (replace > 0 && (it + 1) % replace == 0) {
-            matvec(x, mv);
-            for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - mv[i];
-            fc->blas1 += ni;
-            apply_precond(m, r, u);
-            std::copy(u.begin(), u.end(), vnl.begin());
-            matvec(vnl, w);
-            std::copy(pv.begin(), pv.end(), vnl.begin());
-            matvec(vnl, sv);
-            apply_precond(m, sv, qv);
-            std::copy(qv.begin(), qv.end(), vnl.begin());
-            matvec(vnl, zv);
-          }
-        }
-        if (rnorm / bnorm <= cgopt.tolerance) s = SolveStatus::kConverged;
-        return s;
-      };
-
-      // One CG attempt with the configured variant. A non-classic attempt
-      // that breaks down or stagnates retries with the classic loop on the
-      // SAME preconditioner — warm restart from the recomputed true residual
-      // r = b - A x, shared budget — before any caller-level fallback sees
-      // the failure. The retry decision comes from the attempt's status,
-      // itself derived from allreduced scalars, so every rank branches
-      // together.
-      auto run_cg = [&](const precond::Preconditioner& m) -> SolveStatus {
-        SolveStatus s;
-        switch (cgopt.variant) {
-          case solver::CGVariant::kGropp: s = cg_loop_gropp(m); break;
-          case solver::CGVariant::kPipelined: s = cg_loop_pipelined(m); break;
-          default: return cg_loop(m);
-        }
-        if (s == SolveStatus::kBreakdown || s == SolveStatus::kStagnated) {
+      // One solver::pcg call against `m`, continuing from the current x and
+      // drawing on the shared iteration budget. Every exit decision inside
+      // derives from allreduced scalars, so all ranks leave with the same
+      // status — including pcg's own variant -> classic retry.
+      std::vector<double> x(ni, 0.0);
+      auto attempt = [&](const precond::Preconditioner& m) -> SolveStatus {
+        solver::CGOptions budget = cgopt;
+        budget.max_iterations = cgopt.max_iterations - total_iters;
+        in_flight = true;
+        solver::pcg(matvec, m, ls.b, x, budget, red, cg);
+        absorb();
+        if (cg.variant_fallbacks > 0) {
           vfell[rank] = 1;
           if (opt.telemetry) rank_reg.counter("dist.fallback.variant")->add(1);
-          matvec(x, q);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - q[i];
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = cg_loop(m);
-          s = ok(retried) ? SolveStatus::kFellBack : retried;
         }
-        return s;
+        return cg.status;
       };
 
-      SolveStatus st =
-          build_failed_global ? SolveStatus::kFactorizationFailed : run_cg(*prec);
+      SolveStatus st = SolveStatus::kFactorizationFailed;
+      if (build_failed_global) {
+        // The failed build still counts as an attempt at the zero initial
+        // guess: residual b, relative residual 1. Recording it keeps the
+        // history of later attempts aligned with a run whose build succeeded.
+        last_rel = 1.0;
+        if (cgopt.record_residuals) history.push_back(1.0);
+      } else {
+        prec = with_coarse(std::move(prec));
+        st = attempt(*prec);
+      }
 
       if (fp32 && !ok(st)) {
         // fp32-induced stagnation/breakdown (or narrowing overflow at
@@ -723,12 +414,9 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           res.precond_bytes_per_rank[rank] = fb64->memory_bytes();
           cgopt.stagnation_window = user_window;
           std::fill(x.begin(), x.end(), 0.0);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i];
-          rnorm = bnorm;
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = run_cg(*fb64);
+          prec = with_coarse(std::move(fb64));
+          const SolveStatus retried = attempt(*prec);
           st = ok(retried) ? SolveStatus::kFellBack : retried;
-          prec = std::move(fb64);
         }
       }
 
@@ -765,12 +453,8 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
             continue;
           }
           res.precond_bytes_per_rank[rank] = fb->memory_bytes();
-          // r = b - A x for the warm start
-          matvec(x, q);
-          for (std::size_t i = 0; i < ni; ++i) r[i] = ls.b[i] - q[i];
-          rnorm = std::sqrt(comm.allreduce_sum(sparse::dot(std::span(r), std::span(r), fc)));
-          if (cgopt.record_residuals) history.push_back(rnorm / bnorm);
-          const SolveStatus retried = run_cg(*fb);
+          fb = with_coarse(std::move(fb));
+          const SolveStatus retried = attempt(*fb);
           st = ok(retried) ? SolveStatus::kFellBack : retried;
           if (opt.telemetry && ok(retried)) rank_reg.counter("dist.fallback.recovered")->add(1);
         }
@@ -778,7 +462,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
 
       statuses[rank] = st;
       iters[rank] = total_iters;
-      relres[rank] = rnorm / bnorm;
+      relres[rank] = last_rel;
       if (comm.rank() == 0) res.residual_history = std::move(history);
 
       if (opt.telemetry) {
@@ -814,8 +498,9 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
       // Keep whatever progress was made before the deadline hit so a timed-out
       // run is not misread as "zero iterations, residual 0.0": NaN marks a
       // timeout that struck before the first residual norm.
+      if (in_flight) absorb();
       iters[rank] = total_iters;
-      relres[rank] = bnorm > 0.0 ? rnorm / bnorm : std::numeric_limits<double>::quiet_NaN();
+      relres[rank] = last_rel;
       if (comm.rank() == 0) res.residual_history = std::move(history);
     }
   });

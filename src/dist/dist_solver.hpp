@@ -35,8 +35,9 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     resilience.chain (a PrecondKind list) is not consulted: this solver
 ///     builds preconditioners through factories, not kinds. All fallback
 ///     decisions derive from allreduced quantities (lockstep).
-///   * cg.variant — communication-hiding CG variant. kClassic keeps the three
-///     blocking allreduces per iteration; kGropp/kPipelined post split-phase
+///   * cg.variant — communication-hiding CG variant, run by solver::pcg with
+///     a Comm-backed reduction hook. kClassic keeps the three blocking
+///     allreduces per iteration; kGropp/kPipelined post split-phase
 ///     reductions (Comm::iallreduce_sum) that complete behind the
 ///     preconditioner application and SpMV. Breakdown/stagnation in a
 ///     non-classic variant retries with kClassic on the same preconditioner
@@ -49,8 +50,11 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     history is bit-identical to a direct fp64 run.
 struct DistOptions : core::SolveOptionsBase {
   /// Collect per-rank telemetry registries and gather them to rank 0
-  /// (DistResult::obs_per_rank / obs_merged). Coarse-grained — spans wrap
-  /// set-up and the whole solve, not individual iterations.
+  /// (DistResult::obs_per_rank / obs_merged). The dist.* spans, counters and
+  /// gauges wrap set-up and the whole solve. The registry is attached while
+  /// each rank runs solver::pcg, so its per-iteration pcg.* spans
+  /// (pcg.spmv, pcg.precond, pcg.overlap, ...) and its pcg.* counters
+  /// (per attempt) land in each rank's registry too.
   bool telemetry = true;
   PrecondFactory fallback_factory;
   /// Injected communication faults plus the blocking-operation deadline that
@@ -116,9 +120,12 @@ struct DistResult {
   }
 };
 
-/// Parallel preconditioned CG over GeoFEM local systems: halo exchange on the
-/// communication tables before each matvec, purely local preconditioning,
-/// allreduce dot products (paper §2).  One simulated-MPI rank per domain.
+/// Parallel preconditioned CG over GeoFEM local systems (paper §2): each rank
+/// runs solver::pcg with a matvec that exchanges the halo on the
+/// communication tables, purely local preconditioning (wrapped in
+/// precond::TwoLevel when the coarse level is on), and dot products
+/// allreduced through a Comm-backed reduction hook. One simulated-MPI rank
+/// per domain.
 /// If `x_global` is non-null it receives the assembled solution (size = total
 /// DOF) on exit.
 DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,

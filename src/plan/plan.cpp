@@ -212,7 +212,8 @@ std::function<precond::PreconditionerPtr(const sparse::BlockCSR&)> cached_builde
       // singular A_c leaves a valid one-level preconditioner to fall back on.
       auto op = plan->coarse_numeric(a);
       if (status) *status = coarse::SetupStatus::kActive;
-      return std::make_unique<precond::TwoLevel>(std::move(fine), std::move(op), a, copt.mode);
+      return std::make_unique<precond::TwoLevel>(std::move(fine), std::move(op),
+                                                  precond::matvec_of(a), copt.mode);
     } catch (const Error& e) {
       if (e.code() != StatusCode::kFactorizationFailed) throw;
       if (obs::Registry* reg = obs::current()) reg->counter("coarse.degraded")->add(1);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,5 +58,11 @@ class Preconditioner {
 };
 
 using PreconditionerPtr = std::unique_ptr<Preconditioner>;
+
+/// y = A x hook: how the solvers and the two-level wrapper reach the system
+/// operator without knowing its storage (BlockCSR, DJDS, distributed halo
+/// exchange).
+using MatVec = std::function<void(std::span<const double>, std::span<double>,
+                                  util::FlopCounter*, util::LoopStats*)>;
 
 }  // namespace geofem::precond

@@ -8,9 +8,10 @@
 
 namespace geofem::precond {
 
-/// Two-level wrapper around any one-level preconditioner M (serial /
-/// single-address-space path; the distributed solver composes the same
-/// pieces inline so the coarse residual can be allreduced).
+/// Two-level wrapper around any one-level preconditioner M. The fine
+/// operator and the coarse-vector sum are hooks, so the same apply serves the
+/// serial solve (BlockCSR::spmv, identity sum) and the distributed one (halo
+/// matvec, coarse residual allreduced across ranks).
 ///
 /// With Q = P A_c^-1 R the apply is
 ///   kAdditive:  z = M^-1 r + Q r
@@ -21,10 +22,16 @@ namespace geofem::precond {
 /// what flattens iteration growth with the domain count.
 class TwoLevel final : public Preconditioner {
  public:
-  /// `a` must outlive the preconditioner (same contract as the one-level
-  /// kinds); `inner` is the wrapped M, `op` the factored coarse level.
-  TwoLevel(PreconditionerPtr inner, std::shared_ptr<const coarse::CoarseOperator> op,
-           const sparse::BlockCSR& a, coarse::Mode mode);
+  /// Sums a restricted coarse vector in place over everything that holds a
+  /// share of the fine vector. Distributed, every rank calls it the same
+  /// number of times per apply, so collectives stay in lockstep.
+  using CoarseSum = std::function<void(std::span<double>)>;
+
+  /// `inner` is the wrapped M, `op` the factored coarse level, `a` the fine
+  /// operator over the op's restrict_nodes() nodes; an empty `sum` is the
+  /// identity (serial).
+  TwoLevel(PreconditionerPtr inner, std::shared_ptr<const coarse::CoarseOperator> op, MatVec a,
+           coarse::Mode mode, CoarseSum sum = {});
 
   void apply(std::span<const double> r, std::span<double> z, util::FlopCounter* flops,
              util::LoopStats* loops) const override;
@@ -41,13 +48,21 @@ class TwoLevel final : public Preconditioner {
   [[nodiscard]] const coarse::CoarseOperator& coarse_op() const { return *op_; }
 
  private:
+  /// yc_ = A_c^-1 sum(R fine)
+  void coarse_solve(std::span<const double> fine, util::FlopCounter* flops) const;
+
   PreconditionerPtr inner_;
   std::shared_ptr<const coarse::CoarseOperator> op_;
-  const sparse::BlockCSR& a_;
+  MatVec a_;
   coarse::Mode mode_;
+  CoarseSum sum_;
   // scratch, sized in the constructor so apply() never allocates
   mutable std::vector<double> yc_;           ///< coarse residual / solution
   mutable std::vector<double> q_, t_, mt_;   ///< fine-size work (deflated)
 };
+
+/// The serial fine-operator hook: y = A x via BlockCSR::spmv. `a` must
+/// outlive the hook (same contract as the one-level preconditioners).
+[[nodiscard]] MatVec matvec_of(const sparse::BlockCSR& a);
 
 }  // namespace geofem::precond

@@ -1,8 +1,10 @@
 #include "solver/cg.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/span.hpp"
+#include "precond/two_level.hpp"
 #include "simd/simd.hpp"
 #include "sparse/vector_ops.hpp"
 #include "util/check.hpp"
@@ -21,21 +23,37 @@ std::string to_string(CGVariant v) {
 
 namespace {
 
+/// Global value of one local partial sum.
+double reduce(Reduction& red, double local) {
+  red.sum(std::span<double>(&local, 1));
+  return local;
+}
+
+/// Publishes a freshly reduced residual norm: res.relative_residual always
+/// holds the latest one (so it survives a hook that throws), and the history
+/// gets it when recording.
+void note_residual(CGResult& res, const CGOptions& opt, double rel) {
+  res.relative_residual = rel;
+  if (opt.record_residuals) res.residual_history.push_back(rel);
+}
+
 /// One CG attempt continuing from the current `x`, drawing on the shared
 /// budget opt.max_iterations - res.iterations and appending to
 /// res.residual_history. Each attempt recomputes its own true residual
 /// r = b - A x at entry, so a warm restart (the kClassic retry after a
 /// variant breakdown) starts from an honest residual rather than the drifted
 /// recurrence of the failed attempt. Sets res.status / res.relative_residual.
+/// Every dot product is a local partial reduced through `red`.
 using Attempt = void (*)(const MatVec&, const precond::Preconditioner&, std::span<const double>,
-                         std::span<double>, const CGOptions&, CGResult&, obs::Registry*);
+                         std::span<double>, const CGOptions&, Reduction&, CGResult&,
+                         obs::Registry*);
 
 /// Textbook PCG — the body is the pre-variant solver verbatim (same spans,
 /// same operation order, same breakdown checks), so kClassic residual
 /// histories stay bit-identical to the pre-change baselines.
 void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
                      std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                     CGResult& res, obs::Registry* reg) {
+                     Reduction& red, CGResult& res, obs::Registry* reg) {
   const std::size_t n = b.size();
   simd::aligned_vector<double> r(n), z(n), p(n), q(n);
   auto* fc = &res.flops;
@@ -49,10 +67,10 @@ void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
   fc->blas1 += n;
 
-  const double bnorm = sparse::norm2(b, fc);
+  const double bnorm = std::sqrt(reduce(red, sparse::dot(b, b, fc)));
   GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+  double rnorm = std::sqrt(reduce(red, sparse::dot(r, r, fc)));
+  note_residual(res, opt, rnorm / bnorm);
 
   // Stagnation ring buffer: slot it % W holds the relative residual from W
   // iterations ago by the time iteration `it` reads it.
@@ -69,7 +87,7 @@ void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
     }
     {
       obs::ScopedSpan s(reg, "pcg.blas1");
-      rho = sparse::dot(r, z, fc);
+      rho = reduce(red, sparse::dot(r, z, fc));
       // Breakdown: with an SPD preconditioner and r != 0, rho = r.z must be
       // strictly positive; anything else (including NaN) would previously
       // poison p and run to max_iterations on garbage.
@@ -91,7 +109,7 @@ void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
     }
     {
       obs::ScopedSpan s(reg, "pcg.blas1");
-      const double pq = sparse::dot(p, q, fc);
+      const double pq = reduce(red, sparse::dot(p, q, fc));
       // Indefinite direction: p.Ap <= 0 means A is not SPD along p and the
       // step length alpha is meaningless.
       if (!(pq > 0.0)) {
@@ -101,10 +119,10 @@ void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
       const double alpha = rho / pq;
       sparse::axpy(alpha, p, x, fc);
       sparse::axpy(-alpha, q, r, fc);
-      rnorm = sparse::norm2(r, fc);
+      rnorm = std::sqrt(reduce(red, sparse::dot(r, r, fc)));
     }
     ++res.iterations;
-    if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+    note_residual(res, opt, rnorm / bnorm);
     if (!std::isfinite(rnorm)) {
       res.status = SolveStatus::kBreakdown;
       break;
@@ -120,18 +138,16 @@ void attempt_classic(const MatVec& amul, const precond::Preconditioner& m,
     }
   }
 
-  res.relative_residual = rnorm / bnorm;
   if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
 }
 
-/// Gropp's two-overlap CG: two reductions per iteration, (p,s) hidden behind
-/// q = M⁻¹s and the fused {(r,u), ||r||²} hidden behind w = Au. Serially the
-/// reductions are free; the operation order still mirrors the distributed
-/// loop so the two count iterations identically, and the would-be overlap
-/// windows are traced as pcg.overlap spans.
+/// Gropp's two-overlap CG: two split-phase reductions per iteration, (p,s)
+/// in flight behind q = M⁻¹s and the fused {(r,u), ||r||²} behind w = Au.
+/// Every exit decision derives from the reduced values, so distributed ranks
+/// leave together. The overlap windows are traced as pcg.overlap spans.
 void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
                    std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                   CGResult& res, obs::Registry* reg) {
+                   Reduction& red, CGResult& res, obs::Registry* reg) {
   const std::size_t n = b.size();
   simd::aligned_vector<double> r(n), u(n), p(n), s(n), q(n), w(n);
   auto* fc = &res.flops;
@@ -144,10 +160,10 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
   fc->blas1 += n;
 
-  const double bnorm = sparse::norm2(b, fc);
+  const double bnorm = std::sqrt(reduce(red, sparse::dot(b, b, fc)));
   GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+  double rnorm = std::sqrt(reduce(red, sparse::dot(r, r, fc)));
+  note_residual(res, opt, rnorm / bnorm);
 
   {
     obs::ScopedSpan sp(reg, "pcg.precond");
@@ -158,7 +174,7 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
     obs::ScopedSpan sp(reg, "pcg.spmv");
     amul(p, s, fc, ls);
   }
-  double gamma = sparse::dot(r, u, fc);
+  double gamma = reduce(red, sparse::dot(r, u, fc));
 
   const int window = opt.stagnation_window;
   std::vector<double> stag_ring(window > 0 ? static_cast<std::size_t>(window) : 0);
@@ -169,14 +185,15 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
       res.status = SolveStatus::kBreakdown;
       break;
     }
-    // First reduction, δ = (p, s) — distributed, its allreduce is in flight
-    // while the preconditioner below runs.
-    const double delta = sparse::dot(p, s, fc);
+    // First reduction, δ = (p, s), in flight while the preconditioner runs.
+    double delta = sparse::dot(p, s, fc);
+    red.post(std::span<double>(&delta, 1));
     {
       obs::ScopedSpan ov(reg, "pcg.overlap");
       obs::ScopedSpan sp(reg, "pcg.precond");
       m.apply(s, q, fc, ls);  // q = M⁻¹ s
     }
+    red.wait();
     if (!(delta > 0.0)) {
       res.status = SolveStatus::kBreakdown;
       break;
@@ -185,22 +202,23 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
     sparse::axpy(alpha, p, x, fc);
     sparse::axpy(-alpha, s, r, fc);
     sparse::axpy(-alpha, q, u, fc);
-    // Second reduction, fused {γ' = (r,u), ||r||²} — in flight while the
-    // SpMV below runs.
-    const double gamma_new = sparse::dot(r, u, fc);
-    const double rr = sparse::dot(r, r, fc);
+    // Second reduction, fused {γ' = (r,u), ||r||²}, in flight while the
+    // SpMV runs.
+    double fused[2] = {sparse::dot(r, u, fc), sparse::dot(r, r, fc)};
+    red.post(fused);
     {
       obs::ScopedSpan ov(reg, "pcg.overlap");
       obs::ScopedSpan sp(reg, "pcg.spmv");
       amul(u, w, fc, ls);  // w = A u
     }
-    const double beta = gamma_new / gamma;
+    red.wait();
+    const double beta = fused[0] / gamma;
     sparse::xpby(u, beta, p, fc);  // p = u + β p
     sparse::xpby(w, beta, s, fc);  // s = w + β s
-    gamma = gamma_new;
-    rnorm = std::sqrt(rr);
+    gamma = fused[0];
+    rnorm = std::sqrt(fused[1]);
     ++res.iterations;
-    if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+    note_residual(res, opt, rnorm / bnorm);
     if (!std::isfinite(rnorm)) {
       res.status = SolveStatus::kBreakdown;
       break;
@@ -216,7 +234,6 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
     }
   }
 
-  res.relative_residual = rnorm / bnorm;
   if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
 }
 
@@ -228,7 +245,7 @@ void attempt_gropp(const MatVec& amul, const precond::Preconditioner& m,
 /// to kClassic rather than straight to a different preconditioner.
 void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
                        std::span<const double> b, std::span<double> x, const CGOptions& opt,
-                       CGResult& res, obs::Registry* reg) {
+                       Reduction& red, CGResult& res, obs::Registry* reg) {
   const std::size_t n = b.size();
   simd::aligned_vector<double> r(n), u(n), w(n), mv(n), nv(n), z(n), q(n), s(n), p(n);
   auto* fc = &res.flops;
@@ -241,10 +258,10 @@ void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
   fc->blas1 += n;
 
-  const double bnorm = sparse::norm2(b, fc);
+  const double bnorm = std::sqrt(reduce(red, sparse::dot(b, b, fc)));
   GEOFEM_CHECK(bnorm > 0.0, "pcg: zero right-hand side");
-  double rnorm = sparse::norm2(r, fc);
-  if (opt.record_residuals) res.residual_history.push_back(rnorm / bnorm);
+  double rnorm = std::sqrt(reduce(red, sparse::dot(r, r, fc)));
+  note_residual(res, opt, rnorm / bnorm);
 
   {
     obs::ScopedSpan sp(reg, "pcg.precond");
@@ -261,14 +278,28 @@ void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
   res.status = SolveStatus::kMaxIterations;
   double gamma_prev = 0.0, alpha_prev = 0.0;
   for (int it = 0;; ++it) {
-    // The single fused reduction of the iteration. Distributed, its
-    // allreduce is posted here and the overlap window below (M⁻¹w and Am)
-    // runs before the wait.
-    const double gamma = sparse::dot(r, u, fc);
-    const double delta = sparse::dot(w, u, fc);
-    const double rr = sparse::dot(r, r, fc);
-    rnorm = std::sqrt(rr);
+    // The single fused reduction of the iteration, in flight while the
+    // overlap window (M⁻¹w and Am) runs. The window runs even on the
+    // iteration that then exits: the exit decision needs the reduced values.
+    double fused[3] = {sparse::dot(r, u, fc), sparse::dot(w, u, fc), sparse::dot(r, r, fc)};
+    red.post(fused);
+    {
+      obs::ScopedSpan ov(reg, "pcg.overlap");
+      {
+        obs::ScopedSpan sp(reg, "pcg.precond");
+        m.apply(w, mv, fc, ls);  // m = M⁻¹ w
+      }
+      {
+        obs::ScopedSpan sp(reg, "pcg.spmv");
+        amul(mv, nv, fc, ls);  // n = A m
+      }
+    }
+    red.wait();
+    const double gamma = fused[0];
+    const double delta = fused[1];
+    rnorm = std::sqrt(fused[2]);
     const double rel = rnorm / bnorm;
+    res.relative_residual = rel;
     // ||r_it||² arrives with iteration it's reduction: the history entry and
     // the stagnation probe for the previous iteration's update land here.
     if (it > 0) {
@@ -291,17 +322,6 @@ void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
       break;
     }
     if (res.iterations >= opt.max_iterations) break;
-    {
-      obs::ScopedSpan ov(reg, "pcg.overlap");
-      {
-        obs::ScopedSpan sp(reg, "pcg.precond");
-        m.apply(w, mv, fc, ls);  // m = M⁻¹ w
-      }
-      {
-        obs::ScopedSpan sp(reg, "pcg.spmv");
-        amul(mv, nv, fc, ls);  // n = A m
-      }
-    }
     if (!(gamma > 0.0)) {
       res.status = SolveStatus::kBreakdown;
       break;
@@ -377,7 +397,6 @@ void attempt_pipelined(const MatVec& amul, const precond::Preconditioner& m,
     }
   }
 
-  res.relative_residual = rnorm / bnorm;
   if (res.relative_residual <= opt.tolerance) res.status = SolveStatus::kConverged;
 }
 
@@ -392,10 +411,11 @@ Attempt attempt_of(CGVariant v) {
 
 }  // namespace
 
-CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
-             std::span<double> x, const CGOptions& opt) {
+void pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
+         std::span<double> x, const CGOptions& opt, Reduction& red, CGResult& res) {
   GEOFEM_CHECK(b.size() == x.size(), "pcg size mismatch");
-  CGResult res;
+  res = CGResult{};
+  res.relative_residual = std::numeric_limits<double>::quiet_NaN();
   util::Timer timer;
 
   // Telemetry is opt-in: reg is null unless the caller attached a registry to
@@ -404,7 +424,7 @@ CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<con
   obs::Registry* reg = obs::current();
   obs::ScopedSpan solve_span(reg, "pcg.solve");
 
-  attempt_of(opt.variant)(amul, m, b, x, opt, res, reg);
+  attempt_of(opt.variant)(amul, m, b, x, opt, red, res, reg);
 
   // Reordered-arithmetic variants are numerically delicate: a breakdown or
   // stall falls back to the bitwise-reference kClassic on the SAME
@@ -416,7 +436,7 @@ CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<con
     if (reg) reg->counter("pcg.fallback.variant")->add(1);
     CGOptions retry = opt;
     retry.variant = CGVariant::kClassic;
-    attempt_classic(amul, m, b, x, retry, res, reg);
+    attempt_classic(amul, m, b, x, retry, red, res, reg);
     if (res.status == SolveStatus::kConverged) res.status = SolveStatus::kFellBack;
   }
 
@@ -435,15 +455,19 @@ CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<con
     reg->absorb("pcg", res.flops);
     reg->absorb("pcg", res.loops);
   }
+}
+
+CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
+             std::span<double> x, const CGOptions& opt) {
+  Reduction local;
+  CGResult res;
+  pcg(amul, m, b, x, opt, local, res);
   return res;
 }
 
 CGResult pcg(const sparse::BlockCSR& a, const precond::Preconditioner& m,
              std::span<const double> b, std::span<double> x, const CGOptions& opt) {
-  return pcg(
-      [&a](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
-           util::LoopStats* ls) { a.spmv(in, out, fc, ls); },
-      m, b, x, opt);
+  return pcg(precond::matvec_of(a), m, b, x, opt);
 }
 
 }  // namespace geofem::solver

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 
@@ -76,13 +75,37 @@ struct CGResult {
 
 /// y = A x hook; implementations forward to BlockCSR::spmv, DJDSMatrix::spmv
 /// (with permuted vectors), or a distributed halo-exchange matvec.
-using MatVec = std::function<void(std::span<const double>, std::span<double>,
-                                  util::FlopCounter*, util::LoopStats*)>;
+using MatVec = precond::MatVec;
+
+/// Global-reduction hook of pcg (DESIGN.md §5j). Every dot product pcg takes
+/// is a local partial sum that passes through this hook before it is used.
+/// The base class is the identity (one address space); the distributed solver
+/// overrides it with Comm allreduces, which is all that turns pcg into the
+/// paper's parallel CG. Sums are in place. post/wait is the split-phase form
+/// the Gropp and pipelined variants hide behind the preconditioner and SpMV:
+/// at most one is in flight, and `v` must stay alive and untouched until
+/// wait() returns with the global values in it.
+class Reduction {
+ public:
+  virtual ~Reduction() = default;
+  virtual void sum(std::span<double> /*v*/) {}
+  virtual void post(std::span<double> /*v*/) {}
+  virtual void wait() {}
+};
 
 /// Preconditioned conjugate gradients. `x` holds the initial guess on entry
 /// and the solution on return.
 CGResult pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
              std::span<double> x, const CGOptions& opt = {});
+
+/// As above with every dot product reduced through `red` — the distributed
+/// solver's entry (halo-exchanging `amul`, allreducing `red`). `res` is reset
+/// on entry and filled while the solve runs: iterations, residual history,
+/// flops, loops, and relative_residual after every residual norm (NaN before
+/// the first). A hook that throws therefore leaves the progress so far in
+/// `res`.
+void pcg(const MatVec& amul, const precond::Preconditioner& m, std::span<const double> b,
+         std::span<double> x, const CGOptions& opt, Reduction& red, CGResult& res);
 
 /// Convenience overload for a serial BlockCSR system.
 CGResult pcg(const sparse::BlockCSR& a, const precond::Preconditioner& m,
