@@ -136,13 +136,13 @@ void run_comparison(geofem::obs::Registry& reg, int argc, char** argv) {
   const geofem::precond::BIC0 bic0(f.sys.a);
   const geofem::precond::BlockILUk bic1(f.sys.a, 1);
   const geofem::precond::SBBIC0 sbbic0(f.sys.a, f.sn);
-  const geofem::precond::DJDSBIC djdsbic(f.sys.a, dj);
+  const geofem::precond::DJDSBIC djdsbic(dj);
   // fp32-stored twins of the apply kernels (fp64 factorization, narrowed
   // storage): half the factor bandwidth, 8-lane AVX2 sweeps.
   const geofem::precond::BIC0 bic0_32(f.sys.a, Precision::kSingle);
   const geofem::precond::SBBIC0 sbbic0_32(f.sys.a, f.sn, /*modified=*/false,
                                           Precision::kSingle);
-  const geofem::precond::DJDSBIC djdsbic32(f.sys.a, dj, Precision::kSingle);
+  const geofem::precond::DJDSBIC djdsbic32(dj, Precision::kSingle);
 
   std::vector<double> x(ndof, 1.0), y(ndof);
   simd::aligned_vector<double> r(ndof, 1.0), z(ndof);

@@ -39,9 +39,22 @@ precond::PreconditionerPtr make_preconditioner(PrecondKind kind, const sparse::B
 
 SolveReport solve(const mesh::HexMesh& m, const std::vector<fem::Material>& materials,
                   const fem::BoundaryConditions& bc, const SolveConfig& cfg) {
-  fem::System sys = fem::assemble_elasticity(m, materials);
+  // The whole solve — assembly and boundary conditions included — runs on
+  // the session's registry and team; solve_system re-enters both (nested
+  // scopes restore on return).
+  std::optional<obs::Attach> session_attach;
+  if (cfg.registry) session_attach.emplace(cfg.registry);
+  par::TeamScope team_scope(cfg.threads);
+  fem::System sys;
+  {
+    obs::ScopedSpan span("fem.assemble");
+    sys = fem::assemble_elasticity(m, materials);
+  }
   contact::add_penalty(sys.a, m.contact_groups, cfg.penalty);
-  fem::apply_boundary_conditions(sys, bc);
+  {
+    obs::ScopedSpan span("fem.bc");
+    fem::apply_boundary_conditions(sys, bc);
+  }
   return solve_system(sys, contact::build_supernodes(sys.a.n, m.contact_groups), cfg);
 }
 

@@ -47,15 +47,24 @@ struct System {
   std::vector<double> b;
 };
 
+/// Elements whose stiffness matrices assemble_elasticity forms per parallel
+/// pass: 512 x 24x24 doubles = 2.25 MiB of staged element matrices,
+/// independent of the mesh size.
+inline constexpr std::size_t kStiffnessChunk = 512;
+
 /// Assemble the elastic stiffness matrix over the mesh. `materials` is indexed
 /// by element zone id (a single entry applies everywhere). The sparsity
 /// pattern also includes all intra-contact-group couplings so penalty blocks
-/// can be added in place afterwards.
+/// can be added in place afterwards. Runs on the caller's team
+/// (par::threads()): the pattern is built row-parallel and element
+/// stiffnesses are scattered with row ownership in ascending element order,
+/// so the matrix is bit-identical for any team size (DESIGN.md §5e).
 System assemble_elasticity(const mesh::HexMesh& m, const std::vector<Material>& materials);
 
 /// Apply loads to b and Dirichlet fixes to (a, b) by symmetric elimination:
 /// row/column zeroed, diagonal entry kept at its original scale, RHS adjusted
-/// so the fixed value is reproduced exactly. Preserves SPD.
+/// so the fixed value is reproduced exactly. Preserves SPD. The k = 1 case
+/// of apply_boundary_conditions_multi with load scale 1.0 (same bits).
 void apply_boundary_conditions(System& sys, const BoundaryConditions& bc);
 
 /// Batched variant for the multi-RHS solve path (DESIGN.md §5k): ONE
@@ -67,6 +76,9 @@ void apply_boundary_conditions(System& sys, const BoundaryConditions& bc);
 /// what apply_boundary_conditions would produce for that load scale alone.
 /// On return sys.a is eliminated exactly as the single-RHS path leaves it;
 /// sys.b is left untouched (the per-column RHS live in the return value).
+/// The elimination runs row-parallel on the caller's team (par::threads());
+/// every row writes only its own blocks and RHS entries, so the result is
+/// bit-identical for any team size.
 std::vector<std::vector<double>> apply_boundary_conditions_multi(
     System& sys, const BoundaryConditions& bc, const std::vector<double>& load_scales);
 

@@ -10,6 +10,7 @@
 #include "plan/cache.hpp"
 #include "plan/fingerprint.hpp"
 #include "precond/bic.hpp"
+#include "precond/djds_bic.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/sb_bic0.hpp"
 #include "precond/scalar_ic0.hpp"
@@ -25,8 +26,12 @@ namespace geofem::plan {
 /// the coloring plus the jagged-diagonal layout.
 ///
 /// numeric() revalues the plan against a matrix with the *same graph* and
-/// returns a freshly factored preconditioner. The natural-ordering kinds only
-/// read plan state, so concurrent numeric() calls are safe; the PDJDS path
+/// returns a freshly factored preconditioner. On the PDJDS orderings that is
+/// a copy of the values into the plan's layout plus one dense LU per
+/// ordering unit read from it, both over the caller's team; everything
+/// structural (layout, unit schedule, SIMD batching, loop statistics) stays
+/// in the plan. The natural-ordering kinds only read plan state, so
+/// concurrent numeric() calls are safe; the PDJDS path
 /// mutates the plan-owned DJDSMatrix values and is serialized by an internal
 /// mutex (concurrent *solves* sharing one vectorized plan are not supported —
 /// give each rank its own plan, which distinct local graphs do naturally).
@@ -92,8 +97,10 @@ class SolvePlan {
   std::shared_ptr<const precond::ILUkSymbolic> iluk_;
   std::shared_ptr<const precond::ScalarIC0Symbolic> ic0_;
   std::shared_ptr<const precond::SBSymbolic> sb_;
-  // PDJDS orderings: plan-owned layout, revalued in place by numeric()
+  // PDJDS orderings: plan-owned layout, revalued in place by numeric(), and
+  // the factorization's unit schedule / batching / loop statistics on it
   std::unique_ptr<reorder::DJDSMatrix> dj_;
+  std::shared_ptr<const precond::DJDSSymbolic> djsym_;
   // two-level schedule (cfg.coarse): symbolic built once, numeric memoized on
   // a value hash so warm λ-cycles skip the Galerkin assembly (and, in the
   // single-address-space path, the factorization too)

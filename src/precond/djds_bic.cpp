@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "core/status.hpp"
 #include "obs/span.hpp"
 #include "par/par.hpp"
-#include "precond/sb_bic0.hpp"
 #include "reorder/coloring.hpp"
 #include "util/check.hpp"
 
@@ -15,70 +15,142 @@ using sparse::kBB;
 
 namespace {
 
-/// Fig 22 singleton batching at the pack's lane width: runs of consecutive
-/// 3x3 units go into `pack`, everything else (multi-node supernodes) into
-/// `rest`. Shared by the 4-lane fp64 and 8-lane fp32 mirrors.
-template <class Pack, class Unit>
-void batch_singleton_runs(const std::vector<Unit>& units, const std::vector<sparse::DenseLU>& lu,
-                          Pack& pack, std::vector<Unit>& rest) {
+/// Fig 22 singleton batching at lane width `lanes`: runs of consecutive 3x3
+/// units of one chunk split into groups of at most `lanes`.
+std::vector<DJDSSymbolic::Group> singleton_groups(std::span<const DJDSSymbolic::Unit> units,
+                                                  int lanes) {
+  std::vector<DJDSSymbolic::Group> out;
   for (std::size_t t = 0; t < units.size();) {
     if (units[t].size != 1) {
-      rest.push_back(units[t]);
       ++t;
       continue;
     }
     std::size_t end = t;
     while (end < units.size() && units[end].size == 1) ++end;
-    for (std::size_t g = t; g < end; g += Pack::kLanes) {
-      const int cnt = static_cast<int>(std::min<std::size_t>(Pack::kLanes, end - g));
-      const sparse::DenseLU* lus[Pack::kLanes] = {};
-      for (int l = 0; l < cnt; ++l)
-        lus[l] = &lu[static_cast<std::size_t>(units[g + static_cast<std::size_t>(l)].id)];
-      simd::pack_lu3_group(pack, lus, cnt, units[g].start);
-    }
+    for (std::size_t g = t; g < end; g += static_cast<std::size_t>(lanes))
+      out.push_back({units[g].id,
+                     static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(lanes),
+                                                            end - g))});
     t = end;
+  }
+  return out;
+}
+
+/// Pack the singleton groups of one chunk lane-wise from the unit factors.
+template <class Pack>
+void pack_groups(const std::vector<DJDSSymbolic::Group>& groups,
+                 const std::vector<DJDSSymbolic::Unit>& units,
+                 const std::vector<sparse::DenseLU>& lu, Pack& pack) {
+  for (const auto& g : groups) {
+    const sparse::DenseLU* lus[Pack::kLanes] = {};
+    for (int l = 0; l < g.count; ++l) lus[l] = &lu[static_cast<std::size_t>(g.first + l)];
+    simd::pack_lu3_group(pack, lus, g.count, units[static_cast<std::size_t>(g.first)].start);
   }
 }
 
 }  // namespace
 
-DJDSBIC::DJDSBIC(const sparse::BlockCSR& a, const reorder::DJDSMatrix& dj, Precision precision)
-    : dj_(dj), precision_(precision) {
-  GEOFEM_CHECK(a.n == dj.n(), "matrix/DJDS size mismatch");
-  obs::ScopedSpan span("precond.factor.DJDS-BIC");
+std::size_t DJDSSymbolic::memory_bytes() const {
+  std::size_t bytes = units.size() * sizeof(Unit) + chunk_ptr.size() * sizeof(int);
+  for (const auto& g : groups4) bytes += g.size() * sizeof(Group);
+  for (const auto& g : groups8) bytes += g.size() * sizeof(Group);
+  for (const auto& r : rest) bytes += r.size() * sizeof(Unit);
+  return bytes;
+}
 
-  // Units per chunk in new-row order (supernode ranges or singletons).
+std::shared_ptr<const DJDSSymbolic> djds_symbolic(const reorder::DJDSMatrix& dj) {
+  auto out = std::make_shared<DJDSSymbolic>();
+  DJDSSymbolic& sym = *out;
+  sym.n = dj.n();
+
+  // Units per chunk in new-row order (supernode ranges or singletons); unit
+  // id == elimination order.
   const int nchunks = dj.num_colors() * dj.npe();
-  chunk_units_.resize(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<int>> unit_members;  // new-id member lists, ascending
-  std::vector<int> row_unit(static_cast<std::size_t>(dj.n()), -1);
+  sym.chunk_ptr.assign(static_cast<std::size_t>(nchunks) + 1, 0);
   for (int ch = 0; ch < nchunks; ++ch) {
     const int b = dj.chunk_begin()[static_cast<std::size_t>(ch)];
     const int e = dj.chunk_begin()[static_cast<std::size_t>(ch) + 1];
     for (int i = b; i < e;) {
       const int r = dj.range_of_row(i);
       const int size = r >= 0 ? dj.super_ranges()[static_cast<std::size_t>(r)].size : 1;
-      if (size > 1) has_blocks_ = true;
-      chunk_units_[static_cast<std::size_t>(ch)].push_back(
-          {i, size, static_cast<int>(unit_members.size())});
-      std::vector<int> mem(static_cast<std::size_t>(size));
-      for (int t = 0; t < size; ++t) {
-        mem[static_cast<std::size_t>(t)] = i + t;
-        row_unit[static_cast<std::size_t>(i + t)] = static_cast<int>(unit_members.size());
-      }
-      unit_members.push_back(std::move(mem));
+      if (size > 1) sym.has_blocks = true;
+      sym.units.push_back({i, size, static_cast<int>(sym.units.size())});
       i += size;
     }
+    sym.chunk_ptr[static_cast<std::size_t>(ch) + 1] = static_cast<int>(sym.units.size());
   }
 
-  // Factor D~ in the DJDS elimination order: permute the matrix and run the
-  // shared selective-block factorization (units were created in ascending
-  // new-row order, so unit id == elimination order).
-  sparse::BlockCSR ap = sparse::permute(a, dj.perm());
-  contact::Supernodes snp;
-  snp.node_to_super = std::move(row_unit);
-  snp.members = std::move(unit_members);
-  lu_ = sb_factor_diagonals(ap, snp);
+  sym.groups4.resize(static_cast<std::size_t>(nchunks));
+  sym.groups8.resize(static_cast<std::size_t>(nchunks));
+  sym.rest.resize(static_cast<std::size_t>(nchunks));
+  for (int ch = 0; ch < nchunks; ++ch) {
+    const auto units = sym.chunk_units(ch);
+    sym.groups4[static_cast<std::size_t>(ch)] =
+        singleton_groups(units, simd::PackedLU3T<double>::kLanes);
+    sym.groups8[static_cast<std::size_t>(ch)] =
+        singleton_groups(units, simd::PackedLU3T<float>::kLanes);
+    for (const auto& u : units)
+      if (u.size != 1) sym.rest[static_cast<std::size_t>(ch)].push_back(u);
+  }
+
+  // Structural loop statistics + FLOPs of one apply() sweep: every jagged
+  // diagonal loop (forward + backward) and the same-size selective-block
+  // solve batches (Fig 22 vectorization across equal-size dense blocks).
+  for (int ch = 0; ch < nchunks; ++ch) {
+    for (const auto* part : {&dj.lower(ch), &dj.upper(ch)}) {
+      for (int j = 0; j < part->num_jd(); ++j) {
+        const int len = part->jd_ptr[static_cast<std::size_t>(j) + 1] -
+                        part->jd_ptr[static_cast<std::size_t>(j)];
+        if (len > 0) sym.jagged_loops.record(len);
+        sym.apply_flops += 2ULL * kBB * static_cast<std::uint64_t>(len);
+      }
+    }
+    const auto units = sym.chunk_units(ch);
+    for (std::size_t t = 0; t < units.size();) {
+      std::size_t end = t;
+      while (end < units.size() && units[end].size == units[t].size) ++end;
+      sym.batch_loops.record(static_cast<std::int64_t>(end - t), 2);  // fwd + bwd
+      t = end;
+    }
+  }
+  for (const auto& u : sym.units) {
+    // One dense solve of dimension 3*size costs 2*dim^2 FLOPs (DenseLU).
+    const std::uint64_t dim = static_cast<std::uint64_t>(kB) * static_cast<std::uint64_t>(u.size);
+    sym.apply_flops += 2 * (2ULL * dim * dim);
+    sym.block_solve_flops += 2.0 * static_cast<double>(2ULL * dim * dim);
+  }
+  sym.struct_loops.merge(sym.jagged_loops);
+  sym.struct_loops.merge(sym.batch_loops);
+  return out;
+}
+
+DJDSBIC::DJDSBIC(const reorder::DJDSMatrix& dj, std::shared_ptr<const DJDSSymbolic> sym,
+                 Precision precision)
+    : dj_(dj), sym_(std::move(sym)), precision_(precision) {
+  GEOFEM_CHECK(sym_ != nullptr && sym_->n == dj.n(), "DJDSBIC: symbolic/layout size mismatch");
+  obs::ScopedSpan span("precond.factor.DJDS-BIC");
+  const int team = par::threads();
+  const auto& units = sym_->units;
+  const auto nu = static_cast<std::ptrdiff_t>(units.size());
+  const int nchunks = static_cast<int>(sym_->chunk_ptr.size()) - 1;
+
+  // Unmodified SB-BIC(0): D~_S = A_SS, so every unit is factored from its own
+  // diagonal block as DJDSMatrix::refill left it — no permuted matrix copy.
+  // The calling thread sizes every factor first, so the workers only
+  // compute and all long-lived storage comes from one allocator arena.
+  lu_.resize(units.size());
+  for (const Unit& u : units) lu_[static_cast<std::size_t>(u.id)].reserve(kB * u.size);
+  int singular = 0;
+#pragma omp parallel for schedule(static) num_threads(team) if (team > 1) \
+    reduction(+ : singular)
+  for (std::ptrdiff_t t = 0; t < nu; ++t) {
+    const Unit& u = units[static_cast<std::size_t>(t)];
+    const double* a_ss =
+        u.size == 1 ? dj.diag(u.start) : dj.super_dense(dj.range_of_row(u.start)).data();
+    if (!lu_[static_cast<std::size_t>(t)].factor(a_ss, kB * u.size)) ++singular;
+  }
+  if (singular > 0)
+    throw Error(StatusCode::kFactorizationFailed, "SB-BIC(0): singular selective block");
 
   // fp32 storage: narrow the unit LU factors and the jagged values once at
   // set-up (factorization itself ran in fp64 above). Overflow while
@@ -105,52 +177,29 @@ DJDSBIC::DJDSBIC(const sparse::BlockCSR& a, const reorder::DJDSMatrix& dj, Preci
   }
 
 #if GEOFEM_SIMD_HAS_AVX2
-  // Batch runs of consecutive singleton units one SIMD register wide (4 for
-  // fp64, 8 for fp32 — units within a chunk occupy consecutive rows by
-  // construction, so a run of singletons is a contiguous row range).
-  // Multi-node supernodes keep their generic LU.
-  chunk_rest_.resize(static_cast<std::size_t>(nchunks));
-  if (precision_ == Precision::kSingle) {
-    chunk_lu3f_.resize(static_cast<std::size_t>(nchunks));
+  // Pack the singleton batches one SIMD register wide (4 lanes for fp64, 8
+  // for fp32) from the fresh factors; chunks are independent, and each
+  // pack is sized here so the workers only fill it.
+  const auto pack_all = [&](const std::vector<std::vector<DJDSSymbolic::Group>>& groups,
+                            auto& packs) {
+    packs.resize(static_cast<std::size_t>(nchunks));
+    for (int ch = 0; ch < nchunks; ++ch) {
+      auto& pk = packs[static_cast<std::size_t>(ch)];
+      const std::size_t ng = groups[static_cast<std::size_t>(ch)].size();
+      pk.coef.reserve(ng * static_cast<std::size_t>(pk.kGroupCoefs));
+      pk.start.reserve(ng);
+      pk.cnt.reserve(ng);
+    }
+#pragma omp parallel for schedule(dynamic) num_threads(team) if (team > 1)
     for (int ch = 0; ch < nchunks; ++ch)
-      batch_singleton_runs(chunk_units_[static_cast<std::size_t>(ch)], lu_,
-                           chunk_lu3f_[static_cast<std::size_t>(ch)],
-                           chunk_rest_[static_cast<std::size_t>(ch)]);
-  } else {
-    chunk_lu3_.resize(static_cast<std::size_t>(nchunks));
-    for (int ch = 0; ch < nchunks; ++ch)
-      batch_singleton_runs(chunk_units_[static_cast<std::size_t>(ch)], lu_,
-                           chunk_lu3_[static_cast<std::size_t>(ch)],
-                           chunk_rest_[static_cast<std::size_t>(ch)]);
-  }
+      pack_groups(groups[static_cast<std::size_t>(ch)], units, lu_,
+                  packs[static_cast<std::size_t>(ch)]);
+  };
+  if (precision_ == Precision::kSingle)
+    pack_all(sym_->groups8, chunk_lu3f_);
+  else
+    pack_all(sym_->groups4, chunk_lu3_);
 #endif
-
-  // Structural loop statistics + FLOPs of one apply() sweep: every jagged
-  // diagonal loop (forward + backward) and the same-size selective-block
-  // solve batches (Fig 22 vectorization across equal-size dense blocks).
-  for (int ch = 0; ch < nchunks; ++ch) {
-    for (const auto* part : {&dj.lower(ch), &dj.upper(ch)}) {
-      for (int j = 0; j < part->num_jd(); ++j) {
-        const int len = part->jd_ptr[static_cast<std::size_t>(j) + 1] -
-                        part->jd_ptr[static_cast<std::size_t>(j)];
-        if (len > 0) jagged_loops_.record(len);
-        apply_flops_ += 2ULL * kBB * static_cast<std::uint64_t>(len);
-      }
-    }
-    const auto& units = chunk_units_[static_cast<std::size_t>(ch)];
-    for (std::size_t t = 0; t < units.size();) {
-      std::size_t end = t;
-      while (end < units.size() && units[end].size == units[t].size) ++end;
-      batch_loops_.record(static_cast<std::int64_t>(end - t), 2);  // fwd + bwd
-      t = end;
-    }
-  }
-  for (const auto& lu : lu_) {
-    apply_flops_ += 2 * lu.solve_flops();
-    block_solve_flops_ += 2.0 * static_cast<double>(lu.solve_flops());
-  }
-  struct_loops_.merge(jagged_loops_);
-  struct_loops_.merge(batch_loops_);
 }
 
 void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCounter* flops,
@@ -160,8 +209,8 @@ void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCo
                "DJDSBIC apply size mismatch");
   if (precision_ == Precision::kSingle) {
     apply_f32(r, z);
-    if (flops) flops->precond += apply_flops_;
-    if (loops) loops->merge(struct_loops_);
+    if (flops) flops->precond += sym_->apply_flops;
+    if (loops) loops->merge(sym_->struct_loops);
     return;
   }
   const int npe = dj_.npe();
@@ -203,12 +252,12 @@ void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCo
 #if GEOFEM_SIMD_HAS_AVX2
       if (avx2) {
         simd::solve_lu3_avx2(chunk_lu3_[static_cast<std::size_t>(ch)], z.data());
-        for (const Unit& u : chunk_rest_[static_cast<std::size_t>(ch)])
+        for (const Unit& u : sym_->rest[static_cast<std::size_t>(ch)])
           lu_[static_cast<std::size_t>(u.id)].solve(z.data() +
                                                     static_cast<std::size_t>(u.start) * kB);
       } else
 #endif
-      for (const Unit& u : chunk_units_[static_cast<std::size_t>(ch)])
+      for (const Unit& u : sym_->chunk_units(ch))
         lu_[static_cast<std::size_t>(u.id)].solve(z.data() + static_cast<std::size_t>(u.start) * kB);
     }
   }
@@ -245,7 +294,7 @@ void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCo
         // Batched variant solves out of w and subtracts straight into z;
         // w keeps the raw U*z values (nothing reads them back).
         simd::solve_lu3_sub_avx2(chunk_lu3_[static_cast<std::size_t>(ch)], w.data(), z.data());
-        for (const Unit& u : chunk_rest_[static_cast<std::size_t>(ch)]) {
+        for (const Unit& u : sym_->rest[static_cast<std::size_t>(ch)]) {
           double* wu = w.data() + static_cast<std::size_t>(u.start) * kB;
           lu_[static_cast<std::size_t>(u.id)].solve(wu);
           double* zu = z.data() + static_cast<std::size_t>(u.start) * kB;
@@ -253,7 +302,7 @@ void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCo
         }
       } else
 #endif
-      for (const Unit& u : chunk_units_[static_cast<std::size_t>(ch)]) {
+      for (const Unit& u : sym_->chunk_units(ch)) {
         double* wu = w.data() + static_cast<std::size_t>(u.start) * kB;
         lu_[static_cast<std::size_t>(u.id)].solve(wu);
         double* zu = z.data() + static_cast<std::size_t>(u.start) * kB;
@@ -262,8 +311,8 @@ void DJDSBIC::apply(std::span<const double> r, std::span<double> z, util::FlopCo
     }
   }
 
-  if (flops) flops->precond += apply_flops_;
-  if (loops) loops->merge(struct_loops_);
+  if (flops) flops->precond += sym_->apply_flops;
+  if (loops) loops->merge(sym_->struct_loops);
 }
 
 /// fp32 substitution: the same two color sweeps as apply(), staged entirely
@@ -308,12 +357,12 @@ void DJDSBIC::apply_f32(std::span<const double> r, std::span<double> z) const {
 #if GEOFEM_SIMD_HAS_AVX2
       if (avx2) {
         simd::solve_lu3_avx2(chunk_lu3f_[static_cast<std::size_t>(ch)], zf.data());
-        for (const Unit& u : chunk_rest_[static_cast<std::size_t>(ch)])
+        for (const Unit& u : sym_->rest[static_cast<std::size_t>(ch)])
           lu32_[static_cast<std::size_t>(u.id)].solve(zf.data() +
                                                       static_cast<std::size_t>(u.start) * kB);
       } else
 #endif
-      for (const Unit& u : chunk_units_[static_cast<std::size_t>(ch)])
+      for (const Unit& u : sym_->chunk_units(ch))
         lu32_[static_cast<std::size_t>(u.id)].solve(zf.data() +
                                                     static_cast<std::size_t>(u.start) * kB);
     }
@@ -350,7 +399,7 @@ void DJDSBIC::apply_f32(std::span<const double> r, std::span<double> z) const {
       if (avx2) {
         simd::solve_lu3_sub_avx2(chunk_lu3f_[static_cast<std::size_t>(ch)], wf.data(),
                                  zf.data());
-        for (const Unit& u : chunk_rest_[static_cast<std::size_t>(ch)]) {
+        for (const Unit& u : sym_->rest[static_cast<std::size_t>(ch)]) {
           float* wu = wf.data() + static_cast<std::size_t>(u.start) * kB;
           lu32_[static_cast<std::size_t>(u.id)].solve(wu);
           float* zu = zf.data() + static_cast<std::size_t>(u.start) * kB;
@@ -358,7 +407,7 @@ void DJDSBIC::apply_f32(std::span<const double> r, std::span<double> z) const {
         }
       } else
 #endif
-      for (const Unit& u : chunk_units_[static_cast<std::size_t>(ch)]) {
+      for (const Unit& u : sym_->chunk_units(ch)) {
         float* wu = wf.data() + static_cast<std::size_t>(u.start) * kB;
         lu32_[static_cast<std::size_t>(u.id)].solve(wu);
         float* zu = zf.data() + static_cast<std::size_t>(u.start) * kB;
@@ -372,9 +421,11 @@ void DJDSBIC::apply_f32(std::span<const double> r, std::span<double> z) const {
 }
 
 std::size_t DJDSBIC::memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& cu : chunk_units_) bytes += cu.size() * sizeof(Unit);
-  for (const auto& cu : chunk_rest_) bytes += cu.size() * sizeof(Unit);
+  // The unit schedule the sweeps walk (the generic-LU remainder on AVX2).
+  std::size_t bytes = sym_->units.size() * sizeof(Unit);
+#if GEOFEM_SIMD_HAS_AVX2
+  for (const auto& cu : sym_->rest) bytes += cu.size() * sizeof(Unit);
+#endif
   if (precision_ == Precision::kSingle) {
     // Report the fp32 structures the sweeps actually stream — the halved
     // footprint IS the optimization (the fp64 factors are retained only as
@@ -424,7 +475,7 @@ OwnedDJDSBIC::OwnedDJDSBIC(const sparse::BlockCSR& a, contact::Supernodes sn, in
   bool has_blocks = false;
   for (const auto& m : sn_.members) has_blocks |= m.size() > 1;
   dj_ = std::make_unique<reorder::DJDSMatrix>(a_, coloring, has_blocks ? &sn_ : nullptr, opt);
-  inner_ = std::make_unique<DJDSBIC>(a_, *dj_, precision);
+  inner_ = std::make_unique<DJDSBIC>(*dj_, precision);
   pr_.resize(a_.ndof());
   pz_.resize(a_.ndof());
 }

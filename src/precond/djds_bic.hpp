@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "contact/penalty.hpp"
 #include "precond/preconditioner.hpp"
 #include "reorder/djds.hpp"
@@ -7,6 +9,50 @@
 #include "sparse/block_csr.hpp"
 
 namespace geofem::precond {
+
+/// Structure-only half of the PDJDS factorization, derived once from a
+/// DJDSMatrix layout and shared by every numeric phase on it (the solve plan
+/// holds one per PDJDS layout): the ordering units per (color, PE) chunk,
+/// the AVX2 batching of singleton runs, and the per-sweep loop statistics
+/// and FLOP counts — all functions of the layout alone.
+struct DJDSSymbolic {
+  /// One ordering unit: a supernode range or a singleton row, `size` nodes
+  /// from new row `start`; `id` = index into `units` = elimination order.
+  struct Unit {
+    int start;
+    int size;
+    int id;
+  };
+  /// A run of up to kLanes consecutive singleton units solved one SIMD
+  /// register wide (Fig 22's same-size batch at lane width): units
+  /// [first, first + count) of `units`.
+  struct Group {
+    int first;
+    int count;
+  };
+  int n = 0;                    ///< block rows of the layout
+  bool has_blocks = false;      ///< any unit spans more than one node
+  std::vector<Unit> units;      ///< ascending new-row order
+  std::vector<int> chunk_ptr;   ///< units of chunk ch: [chunk_ptr[ch], chunk_ptr[ch+1])
+  /// Per chunk, the singleton batches for the 4-lane fp64 and 8-lane fp32
+  /// packed solves, and the units left to the generic dense LU.
+  std::vector<std::vector<Group>> groups4, groups8;
+  std::vector<std::vector<Unit>> rest;
+  util::LoopStats struct_loops, jagged_loops, batch_loops;
+  double block_solve_flops = 0.0;
+  std::uint64_t apply_flops = 0;
+
+  [[nodiscard]] std::span<const Unit> chunk_units(int ch) const {
+    return std::span<const Unit>(units).subspan(
+        static_cast<std::size_t>(chunk_ptr[static_cast<std::size_t>(ch)]),
+        static_cast<std::size_t>(chunk_ptr[static_cast<std::size_t>(ch) + 1] -
+                                 chunk_ptr[static_cast<std::size_t>(ch)]));
+  }
+  [[nodiscard]] std::size_t memory_bytes() const;
+};
+
+/// Symbolic phase of the PDJDS factorization for layout `dj`.
+[[nodiscard]] std::shared_ptr<const DJDSSymbolic> djds_symbolic(const reorder::DJDSMatrix& dj);
 
 /// PDJDS/MC vectorized form of BIC(0) / SB-BIC(0) (paper Fig 13 + §4.7):
 /// forward/backward substitution sweeps colors sequentially, distributes the
@@ -19,14 +65,23 @@ namespace geofem::precond {
 /// DJDSMatrix was built with: singleton supernodes give plain BIC(0).
 class DJDSBIC final : public Preconditioner {
  public:
-  /// `a` is the matrix in the ORIGINAL ordering (the same one `dj` was built
-  /// from); factorization runs in the DJDS elimination order — always in
-  /// fp64. `precision` selects the STORED form the sweeps stream: kSingle
-  /// narrows the jagged values, the packed SIMD mirrors and the unit LU
-  /// factors to fp32 (8-lane AVX2 sweeps, half the factor bandwidth) and
-  /// throws Error(kFactorizationFailed) if any factor overflows fp32 range.
-  DJDSBIC(const sparse::BlockCSR& a, const reorder::DJDSMatrix& dj,
+  /// Numeric phase on the values `dj` currently holds (DJDSMatrix::refill):
+  /// the factorization is unmodified SB-BIC(0)/BIC(0), so each unit's factor
+  /// is the dense LU of its own diagonal block — dj.diag() for a singleton,
+  /// dj.super_dense() for a supernode range — read in place, always in fp64.
+  /// Units are independent, so they are factored (and packed) over the
+  /// caller's team with results independent of its size. `sym` must be
+  /// djds_symbolic(dj). `precision` selects the STORED form the sweeps
+  /// stream: kSingle narrows the jagged values, the packed SIMD mirrors and
+  /// the unit LU factors to fp32 (8-lane AVX2 sweeps, half the factor
+  /// bandwidth) and throws Error(kFactorizationFailed) if any factor
+  /// overflows fp32 range. A singular unit throws kFactorizationFailed.
+  DJDSBIC(const reorder::DJDSMatrix& dj, std::shared_ptr<const DJDSSymbolic> sym,
           Precision precision = Precision::kDouble);
+
+  /// Cold form: derives djds_symbolic(dj) first, then the same numeric phase.
+  explicit DJDSBIC(const reorder::DJDSMatrix& dj, Precision precision = Precision::kDouble)
+      : DJDSBIC(dj, djds_symbolic(dj), precision) {}
 
   void apply(std::span<const double> r, std::span<double> z, util::FlopCounter* flops,
              util::LoopStats* loops) const override;
@@ -35,7 +90,7 @@ class DJDSBIC final : public Preconditioner {
   [[nodiscard]] std::string name() const override { return desc().display_name(); }
   [[nodiscard]] Desc desc() const override {
     Desc d;
-    d.kind = has_blocks_ ? PrecondKind::kSBBIC0 : PrecondKind::kBIC0;
+    d.kind = sym_->has_blocks ? PrecondKind::kSBBIC0 : PrecondKind::kBIC0;
     d.pdjds = true;
     d.precision = precision_;
     return d;
@@ -43,39 +98,34 @@ class DJDSBIC final : public Preconditioner {
 
   [[nodiscard]] Precision precision() const { return precision_; }
 
+  /// fp64 dense LU factor of every ordering unit, indexed by unit id.
+  [[nodiscard]] const std::vector<sparse::DenseLU>& unit_factors() const { return lu_; }
+
   /// Innermost vector-loop lengths of one apply() sweep (jagged loops plus
   /// same-size selective-block solve batches); structural, data-independent.
-  [[nodiscard]] const util::LoopStats& structural_loops() const { return struct_loops_; }
+  [[nodiscard]] const util::LoopStats& structural_loops() const { return sym_->struct_loops; }
 
   /// Jagged-diagonal loops only (one apply sweep).
-  [[nodiscard]] const util::LoopStats& jagged_loops() const { return jagged_loops_; }
+  [[nodiscard]] const util::LoopStats& jagged_loops() const { return sym_->jagged_loops; }
   /// Same-size selective-block solve batches only (one apply sweep). On the
   /// Earth Simulator these are the loops the Fig 22 size sort exists for:
   /// a batch of equal-size dense solves vectorizes across the batch; ragged
   /// batches fall back to scalar execution.
-  [[nodiscard]] const util::LoopStats& batch_loops() const { return batch_loops_; }
+  [[nodiscard]] const util::LoopStats& batch_loops() const { return sym_->batch_loops; }
   /// FLOPs of all selective-block dense solves in one apply sweep.
-  [[nodiscard]] double block_solve_flops() const { return block_solve_flops_; }
+  [[nodiscard]] double block_solve_flops() const { return sym_->block_solve_flops; }
 
  private:
+  using Unit = DJDSSymbolic::Unit;
   void apply_f32(std::span<const double> r, std::span<double> z) const;
 
   const reorder::DJDSMatrix& dj_;
+  std::shared_ptr<const DJDSSymbolic> sym_;
   Precision precision_ = Precision::kDouble;
   std::vector<sparse::DenseLU> lu_;  ///< per ordering unit, in new-row order
-  /// per chunk: ordering units as (new start row, node count, unit id = index
-  /// into lu_ / elimination order)
-  struct Unit {
-    int start;
-    int size;
-    int id;
-  };
-  std::vector<std::vector<Unit>> chunk_units_;
-  /// AVX2 path: runs of consecutive singleton (3x3) units batched 4 lanes
-  /// wide — the Fig 22 same-size batch applied at SIMD width — plus the
-  /// leftover units (multi-node supernodes) solved by generic dense LU.
+  /// AVX2 path: the singleton batches of sym_ packed lane-wise from lu_
+  /// (multi-node supernodes keep their generic LU, sym_->rest).
   std::vector<simd::PackedLU3> chunk_lu3_;
-  std::vector<std::vector<Unit>> chunk_rest_;
   /// fp32 storage (kSingle only): narrowed jagged values per chunk with
   /// their 8-lane packed mirrors, narrowed unit LU factors, and the 8-wide
   /// singleton solve batches. The substitution runs entirely in fp32 staging
@@ -87,12 +137,6 @@ class DJDSBIC final : public Preconditioner {
   std::vector<ChunkF32> f32_;
   std::vector<sparse::DenseSolveT<float>> lu32_;
   std::vector<simd::PackedLU3T<float>> chunk_lu3f_;
-  bool has_blocks_ = false;
-  util::LoopStats struct_loops_;
-  util::LoopStats jagged_loops_;
-  util::LoopStats batch_loops_;
-  double block_solve_flops_ = 0.0;
-  std::uint64_t apply_flops_ = 0;
 };
 
 /// Self-contained PDJDS/MC preconditioner that presents the ORIGINAL row

@@ -210,57 +210,91 @@ DJDSMatrix::DJDSMatrix(const sparse::BlockCSR& a, const Coloring& coloring,
     build(up, upper_[static_cast<std::size_t>(ch)]);
   }
 
-  pack_simd();
+  // The first packing allocates the plan-lifetime mirrors: keep it on the
+  // calling thread (refill later reuses their storage over the team).
+  pack_simd(1);
 }
 
-void DJDSMatrix::pack_simd() {
+void DJDSMatrix::pack_simd([[maybe_unused]] int team) {
 #if GEOFEM_SIMD_HAS_AVX2
-  for (auto* parts : {&lower_, &upper_})
-    for (Jagged& p : *parts) simd::pack_jagged(p.jd_ptr, p.item, p.val.data(), p.packed);
-  simd::pack_blocks(diag_.data(), n_, packed_diag_);
+  // One task per jagged part plus one for the diagonal blocks; each task
+  // writes only its own mirror.
+  const int parts = static_cast<int>(lower_.size() + upper_.size());
+#pragma omp parallel for schedule(dynamic) num_threads(team) if (team > 1)
+  for (int t = 0; t <= parts; ++t) {
+    if (t == parts) {
+      simd::pack_blocks(diag_.data(), n_, packed_diag_);
+      continue;
+    }
+    const auto nl = static_cast<int>(lower_.size());
+    Jagged& p = t < nl ? lower_[static_cast<std::size_t>(t)]
+                       : upper_[static_cast<std::size_t>(t - nl)];
+    simd::pack_jagged(p.jd_ptr, p.item, p.val.data(), p.packed);
+  }
 #endif
 }
 
 void DJDSMatrix::refill(const sparse::BlockCSR& a) {
   GEOFEM_CHECK(a.n == n_, "DJDSMatrix::refill: matrix size mismatch");
-  // Diagonal blocks.
-  for (int i = 0; i < n_; ++i) {
-    const int old = iperm_[static_cast<std::size_t>(i)];
-    const double* src = a.block(a.diag_entry(old));
-    std::copy(src, src + sparse::kBB, diag_.data() + static_cast<std::size_t>(i) * sparse::kBB);
-  }
-  // Dense supernode blocks (same gather as the constructor).
-  for (std::size_t r = 0; r < super_ranges_.size(); ++r) {
-    const auto& sr = super_ranges_[r];
-    const int dim = sparse::kB * sr.size;
-    auto& dense = super_dense_[r];
-    std::fill(dense.begin(), dense.end(), 0.0);
-    for (int t = 0; t < sr.size; ++t) {
-      const int old = iperm_[static_cast<std::size_t>(sr.start + t)];
-      for (int e = a.rowptr[old]; e < a.rowptr[old + 1]; ++e) {
-        const int jn = perm_[static_cast<std::size_t>(a.colind[e])];
-        if (jn < sr.start || jn >= sr.start + sr.size) continue;
-        const int tj = jn - sr.start;
-        const double* blk = a.block(e);
-        for (int br = 0; br < sparse::kB; ++br)
-          for (int bc = 0; bc < sparse::kB; ++bc)
-            dense[static_cast<std::size_t>(sparse::kB * t + br) * dim +
-                  static_cast<std::size_t>(sparse::kB * tj + bc)] = blk[sparse::kB * br + bc];
+  // Pure copies: every destination (a row's diagonal, a supernode's dense
+  // block, a jagged part) is written by one iteration and only `a` is read,
+  // so the copies run over the caller's team with the same bits for any
+  // team size.
+  const int team = par::threads();
+  const auto nsuper = static_cast<std::ptrdiff_t>(super_ranges_.size());
+  const int nl = static_cast<int>(lower_.size());
+  const int parts = nl + static_cast<int>(upper_.size());
+  int missing_diag = 0;
+#pragma omp parallel num_threads(team) if (team > 1)
+  {
+    // Diagonal blocks.
+#pragma omp for schedule(static) nowait reduction(+ : missing_diag)
+    for (int i = 0; i < n_; ++i) {
+      const int old = iperm_[static_cast<std::size_t>(i)];
+      const int e = a.find(old, old);
+      if (e < 0) {
+        ++missing_diag;
+        continue;
+      }
+      const double* src = a.block(e);
+      std::copy(src, src + sparse::kBB, diag_.data() + static_cast<std::size_t>(i) * sparse::kBB);
+    }
+    // Dense supernode blocks (same gather as the constructor).
+#pragma omp for schedule(static) nowait
+    for (std::ptrdiff_t r = 0; r < nsuper; ++r) {
+      const auto& sr = super_ranges_[static_cast<std::size_t>(r)];
+      const int dim = sparse::kB * sr.size;
+      auto& dense = super_dense_[static_cast<std::size_t>(r)];
+      std::fill(dense.begin(), dense.end(), 0.0);
+      for (int t = 0; t < sr.size; ++t) {
+        const int old = iperm_[static_cast<std::size_t>(sr.start + t)];
+        for (int e = a.rowptr[old]; e < a.rowptr[old + 1]; ++e) {
+          const int jn = perm_[static_cast<std::size_t>(a.colind[e])];
+          if (jn < sr.start || jn >= sr.start + sr.size) continue;
+          const int tj = jn - sr.start;
+          const double* blk = a.block(e);
+          for (int br = 0; br < sparse::kB; ++br)
+            for (int bc = 0; bc < sparse::kB; ++bc)
+              dense[static_cast<std::size_t>(sparse::kB * t + br) * dim +
+                    static_cast<std::size_t>(sparse::kB * tj + bc)] = blk[sparse::kB * br + bc];
+        }
+      }
+    }
+    // Jagged entries; dummies carry a zero block and never change.
+#pragma omp for schedule(dynamic)
+    for (int t = 0; t < parts; ++t) {
+      Jagged& p = t < nl ? lower_[static_cast<std::size_t>(t)]
+                         : upper_[static_cast<std::size_t>(t - nl)];
+      for (std::size_t q = 0; q < p.src.size(); ++q) {
+        if (p.src[q] < 0) continue;
+        const double* src = a.block(p.src[q]);
+        std::copy(src, src + sparse::kBB, p.val.data() + q * sparse::kBB);
       }
     }
   }
-  // Jagged entries; dummies carry a zero block and never change.
-  for (auto* parts : {&lower_, &upper_}) {
-    for (Jagged& p : *parts) {
-      for (std::size_t t = 0; t < p.src.size(); ++t) {
-        if (p.src[t] < 0) continue;
-        const double* src = a.block(p.src[t]);
-        std::copy(src, src + sparse::kBB, p.val.data() + t * sparse::kBB);
-      }
-    }
-  }
+  GEOFEM_CHECK(missing_diag == 0, "missing diagonal block");
 
-  pack_simd();
+  pack_simd(team);
 }
 
 void DJDSMatrix::spmv(std::span<const double> x, std::span<double> y, util::FlopCounter* flops,

@@ -97,7 +97,8 @@ class DJDSMatrix {
   /// Re-gather all numeric values (diagonals, dense supernode blocks, jagged
   /// entries) from `a`, which must have the graph this layout was built from.
   /// The permutation, chunk layout, and jagged structure are untouched — this
-  /// is the numeric half of the PDJDS set-up, used for plan reuse.
+  /// is the numeric half of the PDJDS set-up, used for plan reuse. Pure
+  /// copies, run over the caller's team (same bits for any team size).
   void refill(const sparse::BlockCSR& a);
 
   /// y = A x in the new ordering (x, y indexed by new ids). Records the
@@ -125,9 +126,9 @@ class DJDSMatrix {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  /// (Re)build the packed SIMD mirrors after structure or values change.
-  /// No-op outside AVX2 builds.
-  void pack_simd();
+  /// (Re)build the packed SIMD mirrors after structure or values change,
+  /// one jagged part per task over `team` threads. No-op outside AVX2 builds.
+  void pack_simd(int team);
 
   int n_ = 0;
   int ncolors_ = 0;

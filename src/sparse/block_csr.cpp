@@ -226,16 +226,4 @@ Graph graph_of(const BlockCSR& a) {
   return g;
 }
 
-BlockCSR permute(const BlockCSR& a, std::span<const int> perm) {
-  GEOFEM_CHECK(static_cast<int>(perm.size()) == a.n, "perm size mismatch");
-  BlockCSRBuilder b(a.n);
-  for (int i = 0; i < a.n; ++i)
-    for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e) b.add_pattern(perm[i], perm[a.colind[e]]);
-  b.finalize_pattern();
-  for (int i = 0; i < a.n; ++i)
-    for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e)
-      b.add_block(perm[i], perm[a.colind[e]], a.block(e));
-  return b.take();
-}
-
 }  // namespace geofem::sparse

@@ -99,7 +99,4 @@ struct Graph {
 /// Extract the adjacency graph (off-diagonal pattern) of a BlockCSR.
 Graph graph_of(const BlockCSR& a);
 
-/// Apply a symmetric permutation: B = P A P^T where new index = perm[old].
-BlockCSR permute(const BlockCSR& a, std::span<const int> perm);
-
 }  // namespace geofem::sparse

@@ -167,6 +167,15 @@ class DenseLU {
     return true;
   }
 
+  /// Pre-size the storage of an n x n factor, so a later factor(a, n) — for
+  /// instance on a worker thread — allocates nothing.
+  void reserve(int n) {
+    const auto nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    lu_.reserve(nn);
+    cm_.reserve(nn);
+    piv_.reserve(static_cast<std::size_t>(n));
+  }
+
   /// x := A^-1 x. Unit-stride over cm_ columns; per-element arithmetic is
   /// unchanged from the row-major version, so off/omp builds reproduce the
   /// historical bits.

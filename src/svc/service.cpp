@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "contact/penalty.hpp"
+#include "par/par.hpp"
 #include "util/timer.hpp"
 
 namespace geofem::svc {
@@ -57,7 +58,12 @@ ModelId SolverService::register_model(const mesh::HexMesh& m,
                                       std::vector<fem::Material> materials,
                                       fem::BoundaryConditions bc) {
   Model model;
-  model.base = fem::assemble_elasticity(m, materials);
+  {
+    // Assembled on the team size of one request, like every other piece of
+    // the service's numeric work.
+    const par::TeamScope team(opt_.solve.threads);
+    model.base = fem::assemble_elasticity(m, materials);
+  }
   model.bc = std::move(bc);
   model.groups = m.contact_groups;
   model.sn = contact::build_supernodes(model.base.a.n, model.groups);
@@ -254,7 +260,10 @@ void SolverService::process(Ticket t, plan::PlanCache* cache, Scratch& scratch) 
 
     // Per-request deltas on a copy of the registered base system. The copy
     // (matrix values + RHS) is the numeric cost every request pays; the
-    // symbolic set-up is what the shared plan cache amortizes away.
+    // symbolic set-up is what the shared plan cache amortizes away. The
+    // boundary-condition sweep runs on the request's own team, like the
+    // solve.
+    const par::TeamScope team(opt_.solve.threads);
     fem::System& sys = scratch.sys;
     sys.a = model.base.a;
     sys.b = model.base.b;
@@ -356,7 +365,9 @@ void SolverService::process_batch(std::vector<Ticket> batch, plan::PlanCache* ca
 
     // One system copy + penalty for the whole batch (the coalescing key
     // guarantees every ticket wants these exact matrix values), then one
-    // elimination sweep producing all k right-hand sides.
+    // elimination sweep producing all k right-hand sides, on the request
+    // team.
+    const par::TeamScope team(opt_.solve.threads);
     fem::System& sys = scratch.sys;
     sys.a = model.base.a;
     sys.b = model.base.b;

@@ -78,7 +78,7 @@ std::pair<int, double> solve_djds(const Fixture& f, const gr::DJDSMatrix& dj,
 TEST(DJDSBIC, SolvesContactProblem) {
   Fixture f(1e4);
   gr::DJDSMatrix dj(f.sys.a, f.coloring, &f.sn, {});
-  gp::DJDSBIC m(f.sys.a, dj);
+  gp::DJDSBIC m(dj);
   EXPECT_EQ(m.name(), "SB-BIC(0) PDJDS");
   auto [iters, resid] = solve_djds(f, dj, m);
   EXPECT_LT(resid, 1e-6);
@@ -90,7 +90,7 @@ TEST(DJDSBIC, RobustInLambda) {
   {
     Fixture f(1e2);
     gr::DJDSMatrix dj(f.sys.a, f.coloring, &f.sn, {});
-    gp::DJDSBIC m(f.sys.a, dj);
+    gp::DJDSBIC m(dj);
     auto [iters, resid] = solve_djds(f, dj, m);
     EXPECT_LT(resid, 1e-6);
     it_low = iters;
@@ -98,7 +98,7 @@ TEST(DJDSBIC, RobustInLambda) {
   {
     Fixture f(1e8);
     gr::DJDSMatrix dj(f.sys.a, f.coloring, &f.sn, {});
-    gp::DJDSBIC m(f.sys.a, dj);
+    gp::DJDSBIC m(dj);
     auto [iters, resid] = solve_djds(f, dj, m);
     EXPECT_LT(resid, 1e-4);
     it_high = iters;
@@ -111,7 +111,7 @@ TEST(DJDSBIC, ApplyEquivalentToCSRPathWithSameOrder) {
   // SPD-consistency: z = M^-1 r must satisfy symmetry <M^-1 r1, r2> = <r1, M^-1 r2>.
   Fixture f(1e4);
   gr::DJDSMatrix dj(f.sys.a, f.coloring, &f.sn, {});
-  gp::DJDSBIC m(f.sys.a, dj);
+  gp::DJDSBIC m(dj);
   const std::size_t n = f.sys.a.ndof();
   geofem::util::Rng rng(3);
   std::vector<double> r1(n), r2(n), z1(n), z2(n);
@@ -135,7 +135,7 @@ TEST(DJDSBIC, PlainBIC0WhenNoSupernodes) {
   const auto g = gs::graph_of(f.sys.a);
   auto col = gr::multicolor(g, 8);
   gr::DJDSMatrix dj(f.sys.a, col, nullptr, {});
-  gp::DJDSBIC m(f.sys.a, dj);
+  gp::DJDSBIC m(dj);
   EXPECT_EQ(m.name(), "BIC(0) PDJDS");
   auto [iters, resid] = solve_djds(f, dj, m);
   EXPECT_LT(resid, 1e-6);
@@ -145,7 +145,7 @@ TEST(DJDSBIC, PlainBIC0WhenNoSupernodes) {
 TEST(DJDSBIC, StructuralLoopsRecorded) {
   Fixture f(1e4);
   gr::DJDSMatrix dj(f.sys.a, f.coloring, &f.sn, {});
-  gp::DJDSBIC m(f.sys.a, dj);
+  gp::DJDSBIC m(dj);
   EXPECT_GT(m.structural_loops().count(), 0);
   EXPECT_GT(m.structural_loops().average(), 0.0);
 }
@@ -154,7 +154,7 @@ TEST(DJDSBIC, FewerColorsLongerPrecondLoops) {
   Fixture f5(1e4, 5), f40(1e4, 40);
   gr::DJDSMatrix dj5(f5.sys.a, f5.coloring, &f5.sn, {});
   gr::DJDSMatrix dj40(f40.sys.a, f40.coloring, &f40.sn, {});
-  gp::DJDSBIC m5(f5.sys.a, dj5);
-  gp::DJDSBIC m40(f40.sys.a, dj40);
+  gp::DJDSBIC m5(dj5);
+  gp::DJDSBIC m40(dj40);
   EXPECT_GT(m5.structural_loops().average(), m40.structural_loops().average());
 }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "contact/penalty.hpp"
@@ -12,10 +14,15 @@
 #include "dist/dist_solver.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
+#include "mesh/southwest_japan.hpp"
+#include "obs/registry.hpp"
 #include "par/par.hpp"
 #include "part/local_system.hpp"
 #include "part/partition.hpp"
 #include "plan/plan.hpp"
+#include "precond/djds_bic.hpp"
+#include "precond/sb_bic0.hpp"
+#include "util/rng.hpp"
 
 namespace gc = geofem::contact;
 namespace gcore = geofem::core;
@@ -25,6 +32,8 @@ namespace gm = geofem::mesh;
 namespace gpar = geofem::par;
 namespace gpart = geofem::part;
 namespace gplan = geofem::plan;
+namespace gp = geofem::precond;
+namespace gs = geofem::sparse;
 
 namespace {
 
@@ -117,6 +126,271 @@ TEST(HybridSerial, PDJDSOrderingBitIdenticalAcrossTeamSizes) {
     cfg.threads = t;
     const auto rep = gcore::solve_system(pb.sys, sn, cfg);
     expect_same_report(base, rep, "PDJDS");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Threaded set-up: assembly, boundary conditions and the PDJDS numeric phase
+// give the same bytes for any team size and match the serial algorithms.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <class V>
+::testing::AssertionResult same_bytes(const V& a, const V& b) {
+  if (a.size() != b.size())
+    return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) != 0)
+    return ::testing::AssertionFailure() << "contents differ";
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_matrix(const gs::BlockCSR& a, const gs::BlockCSR& b) {
+  if (a.n != b.n) return ::testing::AssertionFailure() << "block rows differ";
+  if (auto r = same_bytes(a.rowptr, b.rowptr); !r) return r << " (rowptr)";
+  if (auto r = same_bytes(a.colind, b.colind); !r) return r << " (colind)";
+  if (auto r = same_bytes(a.val, b.val); !r) return r << " (val)";
+  return ::testing::AssertionSuccess();
+}
+
+/// The serial element loop through BlockCSRBuilder: the reference the
+/// threaded assembly must reproduce bit for bit.
+gs::BlockCSR serial_assembly(const gm::HexMesh& m, const std::vector<gf::Material>& mats) {
+  gs::BlockCSRBuilder builder(m.num_nodes());
+  for (const auto& h : m.hexes)
+    for (int a : h)
+      for (int b : h)
+        if (a != b) builder.add_pattern(a, b);
+  for (const auto& g : m.contact_groups)
+    for (int a : g)
+      for (int b : g)
+        if (a != b) builder.add_pattern(a, b);
+  builder.finalize_pattern();
+  double ke[24 * 24];
+  for (std::size_t e = 0; e < m.hexes.size(); ++e) {
+    const auto& h = m.hexes[e];
+    std::array<std::array<double, 3>, 8> xyz;
+    for (std::size_t v = 0; v < 8; ++v) xyz[v] = m.coords[static_cast<std::size_t>(h[v])];
+    const auto zid = static_cast<std::size_t>(m.zone.empty() ? 0 : m.zone[e]);
+    gf::hex_stiffness(xyz, mats[zid < mats.size() ? zid : 0], ke);
+    for (int a = 0; a < 8; ++a)
+      for (int b = 0; b < 8; ++b) {
+        double blk[9];
+        for (int r = 0; r < 3; ++r)
+          for (int c = 0; c < 3; ++c) blk[3 * r + c] = ke[(3 * a + r) * 24 + (3 * b + c)];
+        builder.add_block(h[static_cast<std::size_t>(a)], h[static_cast<std::size_t>(b)], blk);
+      }
+  }
+  return builder.take();
+}
+
+const std::vector<gf::Material>& zone_materials() {
+  static const std::vector<gf::Material> mats{{1.0, 0.3}, {2.0, 0.25}, {0.5, 0.35}};
+  return mats;
+}
+
+gm::HexMesh small_swjapan() {
+  gm::SouthwestJapanParams sp;
+  sp.nx = 8;
+  sp.ny = 6;
+  return gm::southwest_japan_like(sp);
+}
+
+gf::BoundaryConditions swjapan_bc(const gm::HexMesh& m) {
+  gf::BoundaryConditions bc;
+  const double zmin = m.bounding_box().lo[2];
+  bc.fix_nodes(m.nodes_where([zmin](double, double, double z) { return z < zmin + 1e-9; }), -1);
+  bc.body_force(m, 2, -1.0);
+  return bc;
+}
+
+gf::System swjapan_system(const gm::HexMesh& m, double lambda) {
+  gf::System sys = gf::assemble_elasticity(m, zone_materials());
+  gc::add_penalty(sys.a, m.contact_groups, lambda);
+  gf::apply_boundary_conditions(sys, swjapan_bc(m));
+  return sys;
+}
+
+/// The pre-plan-resident PDJDS factorization: permute the whole matrix into
+/// the DJDS order and run the shared selective-block factorization on the
+/// ordering units (supernode ranges or singletons, ascending new row).
+std::vector<gs::DenseLU> permuted_reference_factors(const gs::BlockCSR& a,
+                                                    const geofem::reorder::DJDSMatrix& dj) {
+  const std::vector<int>& perm = dj.perm();
+  gs::BlockCSRBuilder b(a.n);
+  for (int i = 0; i < a.n; ++i)
+    for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e)
+      b.add_pattern(perm[static_cast<std::size_t>(i)],
+                    perm[static_cast<std::size_t>(a.colind[e])]);
+  b.finalize_pattern();
+  for (int i = 0; i < a.n; ++i)
+    for (int e = a.rowptr[i]; e < a.rowptr[i + 1]; ++e)
+      b.add_block(perm[static_cast<std::size_t>(i)], perm[static_cast<std::size_t>(a.colind[e])],
+                  a.block(e));
+  const gs::BlockCSR ap = b.take();
+  gc::Supernodes units;
+  units.node_to_super.assign(static_cast<std::size_t>(a.n), -1);
+  for (int i = 0; i < a.n;) {
+    const int r = dj.range_of_row(i);
+    const int size = r >= 0 ? dj.super_ranges()[static_cast<std::size_t>(r)].size : 1;
+    std::vector<int> mem;
+    for (int t = 0; t < size; ++t) {
+      units.node_to_super[static_cast<std::size_t>(i + t)] = units.count();
+      mem.push_back(i + t);
+    }
+    units.members.push_back(std::move(mem));
+    i += size;
+  }
+  return gp::sb_factor_diagonals(ap, units);
+}
+
+::testing::AssertionResult same_factors(const std::vector<gs::DenseLU>& a,
+                                        const std::vector<gs::DenseLU>& b) {
+  if (a.size() != b.size()) return ::testing::AssertionFailure() << "unit counts differ";
+  for (std::size_t u = 0; u < a.size(); ++u) {
+    const auto n = static_cast<std::size_t>(a[u].size());
+    if (a[u].size() != b[u].size() || a[u].pivots() != b[u].pivots() ||
+        std::memcmp(a[u].factor(), b[u].factor(), n * n * sizeof(double)) != 0)
+      return ::testing::AssertionFailure() << "unit " << u << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
+  geofem::util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
+}  // namespace
+
+TEST(HybridSetup, AssemblyAndBcBitIdenticalAcrossTeamSizes) {
+  const gm::HexMesh sw = small_swjapan();
+  const gm::HexMesh blk = gm::simple_block({6, 6, 4, 6, 6});
+  ASSERT_FALSE(sw.contact_groups.empty());
+  ASSERT_FALSE(sw.zone.empty());
+  for (const gm::HexMesh* m : {&sw, &blk}) {
+    SCOPED_TRACE(m == &sw ? "southwest_japan_like" : "simple_block");
+    // Several stiffness chunks, the last one partial.
+    ASSERT_GT(m->hexes.size(), gf::kStiffnessChunk);
+    ASSERT_NE(m->hexes.size() % gf::kStiffnessChunk, 0u);
+    const gs::BlockCSR reference = serial_assembly(*m, zone_materials());
+    const gf::BoundaryConditions bc = m == &sw ? swjapan_bc(*m) : [&] {
+      gf::BoundaryConditions b;
+      b.fix_nodes(m->nodes_where([](double, double, double z) { return z == 0.0; }), -1);
+      b.fix_nodes(m->nodes_where([](double x, double, double) { return x == 0.0; }), 0);
+      b.body_force(*m, 2, -1.0);
+      return b;
+    }();
+    gf::System base;
+    for (int t : {1, 2, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "team " << t);
+      gpar::TeamScope team(t);
+      gf::System sys = gf::assemble_elasticity(*m, zone_materials());
+      ASSERT_TRUE(same_matrix(sys.a, reference));
+      gc::add_penalty(sys.a, m->contact_groups, 1e6);
+      gf::apply_boundary_conditions(sys, bc);
+      if (t == 1) {
+        base = std::move(sys);
+        continue;
+      }
+      ASSERT_TRUE(same_matrix(sys.a, base.a));
+      ASSERT_TRUE(same_bytes(sys.b, base.b));
+    }
+  }
+}
+
+TEST(HybridSetup, PdjdsNumericMatchesPermutedFactorization) {
+  const gm::HexMesh m = small_swjapan();
+  const gf::System sys = swjapan_system(m, 1e6);
+  const auto sn = gc::build_supernodes(sys.a.n, m.contact_groups);
+  for (auto kind : {gplan::PrecondKind::kSBBIC0, gplan::PrecondKind::kBIC0})
+    for (auto ordering : {gplan::OrderingKind::kPDJDSMC, gplan::OrderingKind::kPDJDSCMRCM})
+      for (auto precision : {gp::Precision::kDouble, gp::Precision::kSingle}) {
+        SCOPED_TRACE(::testing::Message()
+                     << gplan::to_string(kind) << " ordering " << static_cast<int>(ordering)
+                     << (precision == gp::Precision::kSingle ? " fp32" : " fp64"));
+        gplan::PlanConfig pcfg;
+        pcfg.precond = kind;
+        pcfg.ordering = ordering;
+        pcfg.precision = precision;
+        pcfg.colors = 6;
+        pcfg.npe = 4;
+        const gplan::SolvePlan plan(sys.a, sn, pcfg);
+        const auto& dj = *plan.djds();
+        const auto reference = permuted_reference_factors(sys.a, dj);
+        const auto r = random_vector(sys.a.ndof(), 7);
+        std::vector<double> z1;
+        for (int t : {1, 4}) {
+          gpar::TeamScope team(t);
+          const auto prec = plan.numeric(sys.a);
+          const auto* djbic = dynamic_cast<const gp::DJDSBIC*>(prec.get());
+          ASSERT_NE(djbic, nullptr);
+          EXPECT_TRUE(same_factors(djbic->unit_factors(), reference)) << "team " << t;
+          std::vector<double> z(r.size());
+          prec->apply(r, z, nullptr, nullptr);
+          if (t == 1)
+            z1 = z;
+          else
+            EXPECT_TRUE(same_bytes(z, z1)) << "apply, team " << t;
+        }
+      }
+}
+
+TEST(HybridSetup, WarmPlanNumericEqualsColdOverLambdaSweep) {
+  const gm::HexMesh m = small_swjapan();
+  const gf::System first = swjapan_system(m, 1e2);
+  const auto sn = gc::build_supernodes(first.a.n, m.contact_groups);
+  for (auto precision : {gp::Precision::kDouble, gp::Precision::kSingle}) {
+    gplan::PlanConfig pcfg;
+    pcfg.precond = gplan::PrecondKind::kSBBIC0;
+    pcfg.ordering = gplan::OrderingKind::kPDJDSMC;
+    pcfg.precision = precision;
+    pcfg.colors = 6;
+    pcfg.npe = 4;
+    const auto plan = std::make_shared<const gplan::SolvePlan>(first.a, sn, pcfg);
+    gpar::TeamScope team(4);
+    for (double lambda : {1e2, 1e4, 1e6, 1e8, 1e10}) {
+      SCOPED_TRACE(::testing::Message() << "lambda " << lambda);
+      const gf::System sys = swjapan_system(m, lambda);
+      const gp::OwnedDJDSBIC cold(sys.a, sn, pcfg.colors, pcfg.npe, pcfg.sort_supernodes,
+                                  precision);
+      ASSERT_EQ(cold.djds().perm(), plan->djds()->perm());
+      const auto warm = plan->numeric(sys.a);
+      EXPECT_TRUE(same_factors(dynamic_cast<const gp::DJDSBIC&>(*warm).unit_factors(),
+                               cold.inner().unit_factors()));
+      const gplan::PlannedPreconditioner planned(plan, sys.a);
+      const auto r = random_vector(sys.a.ndof(), 11);
+      std::vector<double> zw(r.size()), zc(r.size());
+      planned.apply(r, zw, nullptr, nullptr);
+      cold.apply(r, zc, nullptr, nullptr);
+      EXPECT_TRUE(same_bytes(zw, zc));
+    }
+  }
+}
+
+TEST(HybridSetup, CoreSolveRecordsSetupSpansInSessionRegistry) {
+  const gm::HexMesh m = gm::simple_block({3, 3, 2, 3, 3});
+  gf::BoundaryConditions bc;
+  bc.fix_nodes(m.nodes_where([](double, double, double z) { return z == 0.0; }), -1);
+  bc.body_force(m, 2, -1.0);
+  geofem::obs::Registry reg;
+  gcore::SolveConfig cfg;
+  cfg.ordering = gcore::OrderingKind::kPDJDSMC;
+  cfg.threads = 2;
+  cfg.registry = &reg;
+  cfg.use_plan_cache = false;
+  ASSERT_TRUE(gcore::solve(m, {{1.0, 0.3}}, bc, cfg).converged());
+  const auto snap = reg.snapshot();
+  for (const char* name : {"fem.assemble", "fem.bc"}) {
+    int found = 0;
+    for (const auto& sp : snap.spans)
+      if (sp.name == name) {
+        ++found;
+        EXPECT_GE(sp.dur_us, 0.0) << name << " left open";
+      }
+    EXPECT_EQ(found, 1) << name;
   }
 }
 

@@ -190,30 +190,6 @@ TEST(BlockCSR, SymmetryErrorDetectsAsymmetry) {
   EXPECT_NEAR(m.symmetry_error(), 0.25, 1e-12);
 }
 
-TEST(BlockCSR, PermuteRoundTrip) {
-  geofem::util::Rng rng(13);
-  const int n = 8;
-  auto m = tridiag_matrix(n, rng);
-  std::vector<int> perm(n);
-  for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = (i * 3) % n;  // bijection for n=8
-
-  auto pm = gs::permute(m, perm);
-  // spmv equivalence: (P A P^T) (P x) = P (A x)
-  std::vector<double> x(m.ndof()), y(m.ndof()), px(m.ndof()), py(m.ndof());
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  for (int i = 0; i < n; ++i)
-    for (int c = 0; c < 3; ++c)
-      px[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * 3 +
-         static_cast<std::size_t>(c)] = x[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)];
-  m.spmv(x, y);
-  pm.spmv(px, py);
-  for (int i = 0; i < n; ++i)
-    for (int c = 0; c < 3; ++c)
-      EXPECT_NEAR(py[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * 3 +
-                     static_cast<std::size_t>(c)],
-                  y[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)], 1e-12);
-}
-
 TEST(BlockCSR, GraphExcludesDiagonal) {
   geofem::util::Rng rng(17);
   auto m = tridiag_matrix(6, rng);
