@@ -1,5 +1,6 @@
 #include "core/geofem.hpp"
 
+#include "core/ladder.hpp"
 #include "obs/span.hpp"
 #include "par/par.hpp"
 #include "plan/plan.hpp"
@@ -60,9 +61,9 @@ SolveReport solve(const mesh::HexMesh& m, const std::vector<fem::Material>& mate
 
 namespace {
 
-/// Outcome of the structure + numeric set-up phase shared by the single-RHS
-/// attempt loop and the batched entry: the (possibly cached) plan and the
-/// ready preconditioner.
+/// Outcome of the structure + numeric set-up phase shared by the ladder's
+/// build hook and the batched entry: the (possibly cached) plan and the ready
+/// preconditioner.
 struct Setup {
   std::shared_ptr<const plan::SolvePlan> plan;
   precond::PreconditionerPtr prec;
@@ -72,8 +73,8 @@ struct Setup {
 /// optional coarse level — everything before the Krylov loop, with all the
 /// associated SolveReport bookkeeping (bytes, plan reuse, timings, PDJDS
 /// statistics) filled into `rep`. Throws Error(kFactorizationFailed) if the
-/// factorization hits an unusable pivot. Factored out of attempt_solve so
-/// solve_system_batched shares it verbatim (one set-up, k right-hand sides).
+/// factorization hits an unusable pivot. solve_system_batched shares it
+/// verbatim (one set-up, k right-hand sides).
 Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const SolveConfig& cfg,
                   PrecondKind kind, precond::Precision precision, SolveReport& rep) {
   rep.matrix_bytes = sys.a.memory_bytes();
@@ -159,33 +160,25 @@ Setup setup_solve(const fem::System& sys, const contact::Supernodes& sn, const S
   return Setup{std::move(p), std::move(prec)};
 }
 
-/// One set-up + CG attempt with preconditioner `kind`: the body of the
-/// pre-resilience solve_system, parameterized so the fallback loop can rerun
-/// it. `x0` (mesh ordering) warm-starts CG; null starts from zero. Throws
-/// geofem::Error(kFactorizationFailed) if the factorization hits an unusable
-/// pivot. Fills everything in the report except status / attempts /
-/// fallback_* (owned by the caller).
-SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
-                          const SolveConfig& cfg, PrecondKind kind,
-                          const solver::CGOptions& cgopt, const std::vector<double>* x0,
-                          precond::Precision precision) {
-  SolveReport rep;
-  Setup s = setup_solve(sys, sn, cfg, kind, precision, rep);
-  precond::PreconditionerPtr& prec = s.prec;
-
-  if (cfg.ordering == OrderingKind::kNatural) {
+/// One CG attempt against `m`, set up on `plan`: solves in the plan's
+/// ordering (permuting b, the warm start and the solution for the PDJDS
+/// paths). `x0` (mesh ordering) warm-starts CG; null starts from zero. Fills
+/// rep.cg and rep.solution.
+void run_cg(const fem::System& sys, const plan::SolvePlan& plan, const precond::Preconditioner& m,
+            const solver::CGOptions& cgopt, const std::vector<double>* x0, SolveReport& rep) {
+  if (plan.config().ordering == OrderingKind::kNatural) {
     if (x0) {
       rep.solution = *x0;
     } else {
       rep.solution.assign(sys.a.ndof(), 0.0);
     }
-    rep.cg = solver::pcg(sys.a, *prec, sys.b, rep.solution, cgopt);
-    return rep;
+    rep.cg = solver::pcg(sys.a, m, sys.b, rep.solution, cgopt);
+    return;
   }
 
   // PDJDS/MC path: the plan owns the ordering; solve in the new ordering and
   // permute back.
-  const reorder::DJDSMatrix& dj = *s.plan->djds();
+  const reorder::DJDSMatrix& dj = *plan.djds();
 
   std::vector<double> pb(sys.a.ndof()), px(sys.a.ndof(), 0.0);
   for (int i = 0; i < sys.a.n; ++i)
@@ -202,14 +195,13 @@ SolveReport attempt_solve(const fem::System& sys, const contact::Supernodes& sn,
   rep.cg = solver::pcg(
       [&dj](std::span<const double> in, std::span<double> out, util::FlopCounter* fc,
             util::LoopStats* ls) { dj.spmv(in, out, fc, ls); },
-      *prec, pb, px, cgopt);
+      m, pb, px, cgopt);
   rep.solution.assign(sys.a.ndof(), 0.0);
   for (int i = 0; i < sys.a.n; ++i)
     for (int c = 0; c < 3; ++c)
       rep.solution[static_cast<std::size_t>(i) * 3 + static_cast<std::size_t>(c)] =
           px[static_cast<std::size_t>(dj.perm()[static_cast<std::size_t>(i)]) * 3 +
              static_cast<std::size_t>(c)];
-  return rep;
 }
 
 }  // namespace
@@ -229,131 +221,51 @@ SolveReport solve_system(const fem::System& sys, const contact::Supernodes& sn,
     r0->gauge("core.simd_lane_width")->set(static_cast<double>(simd::lane_width()));
     r0->set_meta("simd.isa", simd::active_isa());
   }
-  obs::Registry* reg0 = obs::current();
 
-  // fp32 rung: when cfg.precision is kSingle the first set-up stores fp32
-  // factors; stagnation or an fp32-induced breakdown triggers exactly one
-  // fp64 re-set-up with a COLD restart (x = 0, the caller's own CG options),
-  // so the recovery's residual history is bit-identical to a direct fp64
-  // solve. Armed independently of cfg.resilience.enabled.
-  int precision_burnt_iters = 0;
-  double precision_burnt_setup = 0.0;
-  bool precision_fell = false;
-  if (cfg.precision == precond::Precision::kSingle) {
-    // Give the fp32 attempt a stagnation window (unless the caller set one)
-    // so a stalled inexact-M attempt fails fast instead of burning maxiter.
-    solver::CGOptions cgopt32 = cfg.cg;
-    if (cgopt32.stagnation_window == 0)
-      cgopt32.stagnation_window = cfg.resilience.stagnation_window;
-    bool built = false;
-    SolveReport r;
-    try {
-      r = attempt_solve(sys, sn, cfg, cfg.precond, cgopt32, nullptr,
-                        precond::Precision::kSingle);
-      built = true;
-    } catch (const Error& e) {
-      if (e.code() != StatusCode::kFactorizationFailed) throw;
-    }
-    if (built && ok(r.cg.status)) {
-      r.status = r.cg.status;
-      r.attempts = {cfg.precond};
-      return r;
-    }
-    precision_burnt_iters = built ? r.cg.iterations : 0;
-    precision_burnt_setup = built ? r.setup_seconds : 0.0;
-    precision_fell = true;
-    if (reg0) reg0->counter("core.fallback.precision")->add(1);
-  }
-
-  // Merge the fp32 bookkeeping into whatever the fp64 path below produced.
-  const auto finish = [&](SolveReport rep) {
-    if (precision_fell) {
-      rep.precision_fallbacks = 1;
-      rep.fallback_iterations += precision_burnt_iters;
-      rep.fallback_setup_seconds += precision_burnt_setup;
-      if (rep.status == SolveStatus::kConverged) rep.status = SolveStatus::kFellBack;
-    }
-    return rep;
-  };
-
-  if (!cfg.resilience.enabled) {
-    SolveReport rep =
-        attempt_solve(sys, sn, cfg, cfg.precond, cfg.cg, nullptr, precond::Precision::kDouble);
-    rep.status = rep.cg.status;
-    rep.attempts = {cfg.precond};
-    return finish(std::move(rep));
-  }
-
-  // Resilient path. Give the inner CG a stagnation window (unless the caller
-  // set one) so a stalled attempt fails fast enough to leave budget for the
-  // fallback rungs.
-  solver::CGOptions cgopt = cfg.cg;
-  if (cgopt.stagnation_window == 0) cgopt.stagnation_window = cfg.resilience.stagnation_window;
-
+  // Rungs of the fallback ladder: the primary kind, then (resilience only)
+  // the chain without it.
   std::vector<PrecondKind> kinds{cfg.precond};
-  {
+  if (cfg.resilience.enabled) {
     const auto chain = cfg.resilience.chain.empty() ? default_fallback_chain(cfg.precond)
                                                     : cfg.resilience.chain;
-    for (PrecondKind k : chain) {
-      if (k == cfg.precond) continue;
-      if (static_cast<int>(kinds.size()) - 1 >= cfg.resilience.max_fallbacks) break;
-      kinds.push_back(k);
-    }
+    for (PrecondKind k : chain)
+      if (k != cfg.precond) kinds.push_back(k);
   }
 
-  obs::Registry* reg = obs::current();
-  SolveReport out;
-  std::vector<PrecondKind> attempted;
-  std::vector<double> warm;  // best iterate so far, mesh ordering
-  bool have_warm = false;
-  int burnt_iterations = 0;
-  double burnt_setup = 0.0;
-  SolveStatus last_status = SolveStatus::kFactorizationFailed;
-
-  for (std::size_t t = 0; t < kinds.size(); ++t) {
-    attempted.push_back(kinds[t]);
-    // The PDJDS orderings only vectorize the no-fill kinds; any other rung
-    // (notably the last-resort block diagonal, which needs no reordering)
-    // runs in the natural ordering instead of tripping the plan's check.
+  SolveReport out;   // the last attempt that ran CG
+  SolveReport next;  // the attempt being set up
+  std::shared_ptr<const plan::SolvePlan> next_plan;
+  LadderHooks hooks;
+  hooks.build = [&](int rung, precond::Precision precision) {
+    const PrecondKind kind = kinds[static_cast<std::size_t>(rung)];
+    // The PDJDS orderings only vectorize the no-fill kinds; a fallback rung
+    // of any other kind (notably the last-resort block diagonal, which needs
+    // no reordering) runs in the natural ordering instead of tripping the
+    // plan's check.
     SolveConfig acfg = cfg;
-    if (!plan::ordering_supports(acfg.ordering, kinds[t]))
+    if (rung > 0 && !plan::ordering_supports(acfg.ordering, kind))
       acfg.ordering = OrderingKind::kNatural;
-    SolveReport r;
-    try {
-      r = attempt_solve(sys, sn, acfg, kinds[t], cgopt, have_warm ? &warm : nullptr,
-                        precond::Precision::kDouble);
-    } catch (const Error& e) {
-      if (e.code() != StatusCode::kFactorizationFailed) throw;
-      last_status = SolveStatus::kFactorizationFailed;
-      if (reg) reg->counter("core.fallback.factorization_failed")->add(1);
-      continue;
-    }
-    if (ok(r.cg.status)) {
-      out = std::move(r);
-      out.status = t == 0 ? SolveStatus::kConverged : SolveStatus::kFellBack;
-      out.attempts = std::move(attempted);
-      out.fallback_iterations = burnt_iterations;
-      out.fallback_setup_seconds = burnt_setup;
-      if (t > 0 && reg) reg->counter("core.fallback.recovered")->add(1);
-      return finish(std::move(out));
-    }
-    last_status = r.cg.status;
-    burnt_iterations += r.cg.iterations;
-    burnt_setup += r.setup_seconds;
-    warm = r.solution;  // warm-start the next rung from the partial iterate
-    have_warm = true;
-    out = std::move(r);
-    if (reg) reg->counter("core.fallback.attempts")->add(1);
-  }
+    next = SolveReport{};
+    Setup s = setup_solve(sys, sn, acfg, kind, precision, next);
+    next_plan = std::move(s.plan);
+    return std::move(s.prec);
+  };
+  hooks.attempt = [&](const precond::Preconditioner& m, const solver::CGOptions& cgopt,
+                      bool cold) -> const solver::CGResult& {
+    run_cg(sys, *next_plan, m, cgopt, cold ? nullptr : &out.solution, next);
+    out = std::move(next);
+    return out.cg;
+  };
+  hooks.agree = [](bool failed) { return failed; };
+  LadderResult lr;
+  run_ladder(cfg, static_cast<int>(kinds.size()) - 1, "core", hooks, lr);
 
-  // Every rung failed: report the last completed attempt (or an empty report
-  // if every factorization threw), with the chain-wide bookkeeping.
-  out.status = last_status;
-  out.fallback_iterations = burnt_iterations - out.cg.iterations;
-  out.fallback_setup_seconds = burnt_setup - out.setup_seconds;
-  out.attempts = std::move(attempted);
-  if (reg) reg->counter("core.fallback.exhausted")->add(1);
-  return finish(std::move(out));
+  out.status = lr.status;
+  out.attempts.assign(kinds.begin(), kinds.begin() + lr.rung + 1);
+  out.fallback_iterations = lr.fallback_iterations;
+  out.fallback_setup_seconds = lr.fallback_setup_seconds;
+  out.precision_fallbacks = lr.precision_fallbacks;
+  return out;
 }
 
 std::vector<SolveReport> solve_system_batched(const fem::System& sys,

@@ -12,10 +12,12 @@ namespace geofem {
 /// resilience layer existed — bit-identical residual histories, failures
 /// surface as their raw SolveStatus. With enabled = true, a failed attempt
 /// (stagnation, breakdown, exhausted iterations, factorization failure)
-/// rebuilds the preconditioner with the next kind in the chain — through the
-/// plan cache, so a fallback to a kind whose plan is already resident pays
-/// only the numeric phase — and restarts CG warm from the best iterate so
-/// far. A solve that converges this way reports SolveStatus::kFellBack.
+/// rebuilds the preconditioner with the next rung — serially the next kind
+/// in the chain, through the plan cache, so a fallback to a kind whose plan
+/// is already resident pays only the numeric phase — and restarts CG warm
+/// from the last iterate of the failed attempt, with a full iteration budget
+/// (core/ladder.hpp). A solve that converges this way reports
+/// SolveStatus::kFellBack.
 struct ResilienceOptions {
   bool enabled = false;
 
@@ -31,9 +33,10 @@ struct ResilienceOptions {
   /// regime) makes no progress over any window.
   int stagnation_window = 200;
 
-  /// Preconditioners tried in order after the primary kind fails. Empty
-  /// selects default_fallback_chain(primary). Entries equal to the primary
-  /// kind are skipped.
+  /// Preconditioners tried in order after the primary kind fails (serial
+  /// solves; the distributed solver takes factories instead). Empty selects
+  /// default_fallback_chain(primary). Entries equal to the primary kind are
+  /// skipped.
   std::vector<plan::PrecondKind> chain;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/ladder.hpp"
 #include "obs/span.hpp"
 #include "par/par.hpp"
 #include "plan/plan.hpp"
@@ -201,8 +202,10 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
 
     // Progress across CG attempts, hoisted above the try so a timeout can
     // still report how far the rank got. `cg` is the attempt in flight: pcg
-    // fills it in place, so a hook that throws leaves its progress readable.
+    // fills it in place, so a hook that throws leaves its progress readable;
+    // run_ladder fills `ladder` the same way.
     solver::CGResult cg;
+    core::LadderResult ladder;
     bool in_flight = false;
     int total_iters = 0;
     double last_rel = std::numeric_limits<double>::quiet_NaN();  // NaN: no norm yet
@@ -216,6 +219,20 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
       *fc += cg.flops;
       lp->merge(cg.loops);
     };
+    auto report = [&](SolveStatus st) {
+      // A primary build that failed everywhere still counts as an attempt at
+      // the zero initial guess: residual b, relative residual 1. Recording it
+      // keeps the history of later attempts aligned with a run whose build
+      // succeeded.
+      if (ladder.primary_build_failed) {
+        if (std::isnan(last_rel)) last_rel = 1.0;
+        if (opt.cg.record_residuals) history.insert(history.begin(), 1.0);
+      }
+      statuses[rank] = st;
+      iters[rank] = total_iters;
+      relres[rank] = last_rel;
+      if (comm.rank() == 0) res.residual_history = std::move(history);
+    };
 
     // Everything that communicates runs under this try: once a blocking
     // operation times out (injected fault, dead neighbour), the rank records
@@ -223,47 +240,10 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     // peer still waiting on it, so the whole run terminates within a few
     // deadlines instead of hanging.
     try {
-      // CG controls; resilience supplies a stagnation window if the caller
-      // left detection off, so a stalled attempt fails fast enough to leave
-      // budget for the fallback rung. The fp32 safety net arms one too
-      // (independent of resilience.enabled): an fp32-preconditioned CG that
-      // stalls must fail fast so the fp64 re-setup gets the budget — the
-      // user's window is restored for the fp64 retry.
-      solver::CGOptions cgopt = opt.cg;
-      if (cgopt.stagnation_window == 0 && opt.resilience.enabled)
-        cgopt.stagnation_window = opt.resilience.stagnation_window;
-      const int user_window = cgopt.stagnation_window;
-      const bool fp32 = opt.precision == precond::Precision::kSingle;
-      if (fp32 && cgopt.stagnation_window == 0)
-        cgopt.stagnation_window = opt.resilience.stagnation_window;
-
-      // localized preconditioner on the internal submatrix (aii must outlive
-      // prec: preconditioners keep a reference to their matrix)
+      // localized preconditioners on the internal submatrix (aii must
+      // outlive them: preconditioners keep a reference to their matrix)
       util::Timer setup;
       const sparse::BlockCSR aii = ls.internal_matrix();
-      precond::PreconditionerPtr prec;
-      bool build_failed = false;
-      {
-        obs::ScopedSpan setup_span("dist.setup");
-        if (opt.resilience.enabled || fp32) {
-          // fp32 narrowing overflow surfaces as kFactorizationFailed and is
-          // caught here even with resilience off — the fp64 re-setup below is
-          // always armed under kSingle.
-          try {
-            prec = factory(ls, aii, opt.precision);
-          } catch (const Error& e) {
-            if (e.code() != StatusCode::kFactorizationFailed) throw;
-            build_failed = true;
-          }
-        } else {
-          prec = factory(ls, aii, opt.precision);
-        }
-      }
-      // A rank-local factorization failure must become a global decision —
-      // every rank takes the fallback branch together.
-      bool build_failed_global = false;
-      if (opt.resilience.enabled || fp32)
-        build_failed_global = comm.allreduce_max(build_failed ? 1.0 : 0.0) > 0.0;
 
       // Two-level set-up, numeric half: each rank assembles its Galerkin
       // contribution from ls.a (internal rows, ALL local columns — that is
@@ -316,7 +296,6 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
           rank_reg.gauge("dist.coarse.setup_seconds")->set(coarse_timer.seconds());
       }
       setup_seconds[rank] = setup.seconds();
-      if (prec) res.precond_bytes_per_rank[rank] = prec->memory_bytes();
       const std::size_t solve_span =
           opt.telemetry ? rank_reg.span_begin("dist.solve") : std::size_t{0};
       util::Timer solve_timer;
@@ -357,113 +336,49 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
                                                    coarse_sum);
       };
 
-      // One solver::pcg call against `m`, continuing from the current x and
-      // drawing on the shared iteration budget. Every exit decision inside
-      // derives from allreduced scalars, so all ranks leave with the same
-      // status — including pcg's own variant -> classic retry.
+      // Rungs of the fallback ladder: the caller's factory, then the
+      // fallback factory (when set), then the localized block diagonal,
+      // which always builds. The ladder's only cross-rank decision is a
+      // failed build (agreed through allreduce_max); every CG exit derives
+      // from allreduced scalars, so all ranks walk the same rungs in
+      // lockstep.
+      const PrecondFactory block_diag = [](const part::LocalSystem&, const sparse::BlockCSR& m,
+                                           precond::Precision) {
+        return std::make_unique<precond::BlockDiagonal>(m);
+      };
+      std::vector<const PrecondFactory*> rungs{&factory};
+      if (opt.fallback_factory) rungs.push_back(&opt.fallback_factory);
+      rungs.push_back(&block_diag);
+
       std::vector<double> x(ni, 0.0);
-      auto attempt = [&](const precond::Preconditioner& m) -> SolveStatus {
-        solver::CGOptions budget = cgopt;
-        budget.max_iterations = cgopt.max_iterations - total_iters;
+      core::LadderHooks hooks;
+      hooks.build = [&](int rung, precond::Precision precision) {
+        obs::ScopedSpan setup_span("dist.setup");
+        precond::PreconditionerPtr m =
+            (*rungs[static_cast<std::size_t>(rung)])(ls, aii, precision);
+        res.precond_bytes_per_rank[rank] = m->memory_bytes();
+        return with_coarse(std::move(m));
+      };
+      hooks.attempt = [&](const precond::Preconditioner& m, const solver::CGOptions& cgopt,
+                          bool cold) -> const solver::CGResult& {
+        if (cold) std::fill(x.begin(), x.end(), 0.0);
         in_flight = true;
-        solver::pcg(matvec, m, ls.b, x, budget, red, cg);
+        solver::pcg(matvec, m, ls.b, x, cgopt, red, cg);
         absorb();
         if (cg.variant_fallbacks > 0) {
           vfell[rank] = 1;
           if (opt.telemetry) rank_reg.counter("dist.fallback.variant")->add(1);
         }
-        return cg.status;
+        return cg;
       };
-
-      SolveStatus st = SolveStatus::kFactorizationFailed;
-      if (build_failed_global) {
-        // The failed build still counts as an attempt at the zero initial
-        // guess: residual b, relative residual 1. Recording it keeps the
-        // history of later attempts aligned with a run whose build succeeded.
-        last_rel = 1.0;
-        if (cgopt.record_residuals) history.push_back(1.0);
-      } else {
-        prec = with_coarse(std::move(prec));
-        st = attempt(*prec);
-      }
-
-      if (fp32 && !ok(st)) {
-        // fp32-induced stagnation/breakdown (or narrowing overflow at
-        // set-up): re-set-up the fp64 plan on every rank together — the
-        // decision above derives from allreduced scalars, so all ranks
-        // rebuild in lockstep — and restart COLD. The cold restart is what
-        // makes the recovery's residual history bit-identical to a direct
-        // fp64 solve of the same system.
-        burnt_iters[rank] = total_iters;
-        // The re-set-up itself is the counted event (like the serial path):
-        // it happened on every rank together whether or not the fp64 retry
-        // then converges.
-        pfell[rank] = 1;
-        if (opt.telemetry) rank_reg.counter("dist.fallback.precision")->add(1);
-        precond::PreconditionerPtr fb64;
-        bool fb_failed = false;
-        try {
-          fb64 = factory(ls, aii, precond::Precision::kDouble);
-        } catch (const Error& e) {
-          if (e.code() != StatusCode::kFactorizationFailed) throw;
-          fb_failed = true;
-        }
-        if (comm.allreduce_max(fb_failed ? 1.0 : 0.0) > 0.0) {
-          st = SolveStatus::kFactorizationFailed;
-        } else {
-          res.precond_bytes_per_rank[rank] = fb64->memory_bytes();
-          cgopt.stagnation_window = user_window;
-          std::fill(x.begin(), x.end(), 0.0);
-          prec = with_coarse(std::move(fb64));
-          const SolveStatus retried = attempt(*prec);
-          st = ok(retried) ? SolveStatus::kFellBack : retried;
-        }
-      }
-
-      if (opt.resilience.enabled && !ok(st)) {
-        // Fallback rungs, tried in order while attempts keep failing: the
-        // caller's fallback factory (when set), then the localized block
-        // diagonal, which always builds — capped at resilience.max_fallbacks
-        // rebuilds. Every decision below derives from allreduced scalars, so
-        // all ranks walk the same rungs in lockstep; CG restarts warm from
-        // the partial iterate each time.
-        std::vector<const PrecondFactory*> rungs;
-        const PrecondFactory block_diag = [](const part::LocalSystem&,
-                                             const sparse::BlockCSR& m, precond::Precision) {
-          return std::make_unique<precond::BlockDiagonal>(m);
-        };
-        if (opt.fallback_factory) rungs.push_back(&opt.fallback_factory);
-        rungs.push_back(&block_diag);
-        const auto nrungs = std::min(
-            rungs.size(), static_cast<std::size_t>(std::max(opt.resilience.max_fallbacks, 0)));
-        for (std::size_t rung = 0; rung < nrungs && !ok(st); ++rung) {
-          burnt_iters[rank] = total_iters;
-          precond::PreconditionerPtr fb;
-          bool fb_failed = false;
-          try {
-            // Ordinary rungs always rebuild at fp64: a fallback exists to
-            // restore convergence, not to preserve the precision experiment.
-            fb = (*rungs[rung])(ls, aii, precond::Precision::kDouble);
-          } catch (const Error& e) {
-            if (e.code() != StatusCode::kFactorizationFailed) throw;
-            fb_failed = true;
-          }
-          if (comm.allreduce_max(fb_failed ? 1.0 : 0.0) > 0.0) {
-            st = SolveStatus::kFactorizationFailed;
-            continue;
-          }
-          res.precond_bytes_per_rank[rank] = fb->memory_bytes();
-          fb = with_coarse(std::move(fb));
-          const SolveStatus retried = attempt(*fb);
-          st = ok(retried) ? SolveStatus::kFellBack : retried;
-          if (opt.telemetry && ok(retried)) rank_reg.counter("dist.fallback.recovered")->add(1);
-        }
-      }
-
-      statuses[rank] = st;
-      iters[rank] = total_iters;
-      relres[rank] = last_rel;
-      if (comm.rank() == 0) res.residual_history = std::move(history);
+      hooks.agree = [&comm](bool failed) {
+        return comm.allreduce_max(failed ? 1.0 : 0.0) > 0.0;
+      };
+      core::run_ladder(opt, static_cast<int>(rungs.size()) - 1, "dist", hooks, ladder);
+      setup_seconds[rank] += ladder.setup_seconds;
+      burnt_iters[rank] = ladder.fallback_iterations;
+      pfell[rank] = ladder.precision_fallbacks;
+      report(ladder.status);
 
       if (opt.telemetry) {
         rank_reg.span_end(solve_span);
@@ -494,14 +409,11 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
       }
     } catch (const Error& e) {
       if (e.code() != StatusCode::kCommTimeout) throw;
-      statuses[rank] = SolveStatus::kCommTimeout;
       // Keep whatever progress was made before the deadline hit so a timed-out
       // run is not misread as "zero iterations, residual 0.0": NaN marks a
       // timeout that struck before the first residual norm.
       if (in_flight) absorb();
-      iters[rank] = total_iters;
-      relres[rank] = last_rel;
-      if (comm.rank() == 0) res.residual_history = std::move(history);
+      report(SolveStatus::kCommTimeout);
     }
   });
   res.solve_seconds = wall.seconds();
@@ -520,41 +432,6 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
   res.coarse_dim = cdims[0];
   for (double s : setup_seconds) res.setup_seconds_max = std::max(res.setup_seconds_max, s);
   return res;
-}
-
-std::vector<DistResult> solve_distributed_batched(
-    std::vector<part::LocalSystem>& systems, const PrecondFactory& factory,
-    const std::vector<std::vector<std::vector<double>>>& rhs, const DistOptions& opt,
-    std::vector<std::vector<double>>* x_global) {
-  GEOFEM_CHECK(!rhs.empty(), "solve_distributed_batched: no columns");
-  for (const auto& col : rhs) {
-    GEOFEM_CHECK(col.size() == systems.size(),
-                 "solve_distributed_batched: column rank count mismatch");
-    for (std::size_t r = 0; r < col.size(); ++r)
-      GEOFEM_CHECK(col[r].size() == systems[r].b.size(),
-                   "solve_distributed_batched: local RHS size mismatch");
-  }
-  if (x_global) x_global->assign(rhs.size(), {});
-
-  // Swap each column's local RHS in, run the single-RHS driver, swap back —
-  // every column sees exactly the state a standalone solve_distributed call
-  // would (batch-of-1 bit-identity is by construction).
-  std::vector<std::vector<double>> saved(systems.size());
-  for (std::size_t r = 0; r < systems.size(); ++r) saved[r] = std::move(systems[r].b);
-  std::vector<DistResult> out;
-  out.reserve(rhs.size());
-  try {
-    for (std::size_t c = 0; c < rhs.size(); ++c) {
-      for (std::size_t r = 0; r < systems.size(); ++r) systems[r].b = rhs[c][r];
-      out.push_back(solve_distributed(systems, factory, opt,
-                                      x_global ? &(*x_global)[c] : nullptr));
-    }
-  } catch (...) {
-    for (std::size_t r = 0; r < systems.size(); ++r) systems[r].b = std::move(saved[r]);
-    throw;
-  }
-  for (std::size_t r = 0; r < systems.size(); ++r) systems[r].b = std::move(saved[r]);
-  return out;
 }
 
 PrecondFactory make_plan_factory(plan::PlanCache& cache, plan::PlanConfig cfg,

@@ -29,12 +29,12 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 /// precision) come from core::SolveOptionsBase — the same base
 /// core::SolveConfig embeds — so the serial and distributed entry points
 /// cannot drift apart. Distributed-specific notes on the inherited fields:
-///   * resilience — rungs are tried in order: `fallback_factory` (when set),
-///     then the built-in localized block diagonal, up to
-///     resilience.max_fallbacks rebuilds, CG restarting warm after each.
-///     resilience.chain (a PrecondKind list) is not consulted: this solver
-///     builds preconditioners through factories, not kinds. All fallback
-///     decisions derive from allreduced quantities (lockstep).
+///   * resilience / precision — the solve runs the serial path's fallback
+///     ladder (core/ladder.hpp) with the rungs `factory`, `fallback_factory`
+///     (when set), then the localized block diagonal; resilience.chain is
+///     not consulted. A failed build is agreed across ranks, so all ranks
+///     walk the same rungs. Every attempt gets the full cg.max_iterations,
+///     so DistResult::iterations (summed over attempts) can exceed it.
 ///   * cg.variant — communication-hiding CG variant, run by solver::pcg with
 ///     a Comm-backed reduction hook. kClassic keeps the three blocking
 ///     allreduces per iteration; kGropp/kPipelined post split-phase
@@ -44,10 +44,6 @@ using PrecondFactory = std::function<precond::PreconditionerPtr(
 ///     (warm restart, lockstep) before any precision/preconditioner fallback.
 ///   * plan_cache — only snapshotted into DistResult::plan_cache; pass the
 ///     cache given to make_plan_factory (one plan per rank).
-///   * precision — forwarded to the PrecondFactory; an fp32 attempt that
-///     stagnates/breaks down is rebuilt at fp64 on every rank together
-///     (allreduced decision), restarting cold so the recovery's residual
-///     history is bit-identical to a direct fp64 run.
 struct DistOptions : core::SolveOptionsBase {
   /// Collect per-rank telemetry registries and gather them to rank 0
   /// (DistResult::obs_per_rank / obs_merged). The dist.* spans, counters and
@@ -75,8 +71,8 @@ struct DistResult {
   /// the first residual norm).
   SolveStatus status = SolveStatus::kMaxIterations;
   std::vector<SolveStatus> status_per_rank;
-  /// CG iterations burnt in failed attempts before the fallback rebuild
-  /// (zero for a direct solve).
+  /// CG iterations burnt in failed attempts before the last one (zero for a
+  /// direct solve).
   int fallback_iterations = 0;
   /// fp32 attempts re-set-up at fp64 after stagnation/breakdown (0 or 1;
   /// identical on every rank — the decision is allreduced).
@@ -88,7 +84,7 @@ struct DistResult {
   /// reordered-arithmetic variant must not trigger an expensive rebuild when
   /// the reference arithmetic would have converged.
   int variant_fallbacks = 0;
-  int iterations = 0;
+  int iterations = 0;  ///< summed over every attempt
   double relative_residual = 0.0;
   /// Relative residual per iteration across all attempts (identical on every
   /// rank — recorded when DistOptions::cg.record_residuals).
@@ -131,23 +127,6 @@ struct DistResult {
 DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
                              const PrecondFactory& factory, const DistOptions& opt = {},
                              std::vector<double>* x_global = nullptr);
-
-/// Batched distributed entry (DESIGN.md §5k): k right-hand-side columns on
-/// one partition, one DistResult per column. `rhs[c][r]` replaces
-/// systems[r].b for column c (same size, num_internal * 3); the systems'
-/// own b vectors are restored before returning. If `x_global` is non-null it
-/// receives one assembled global solution per column.
-///
-/// Column 0 runs exactly as solve_distributed on the same inputs —
-/// batch-of-1 is bit-identical by construction. k > 1 currently solves the
-/// columns sequentially through the single-RHS driver (each column keeps the
-/// full resilience/variant/precision ladder); a multi-vector halo exchange
-/// that shares one communication round across columns is the natural
-/// follow-up behind this same API.
-std::vector<DistResult> solve_distributed_batched(
-    std::vector<part::LocalSystem>& systems, const PrecondFactory& factory,
-    const std::vector<std::vector<std::vector<double>>>& rhs, const DistOptions& opt = {},
-    std::vector<std::vector<double>>* x_global = nullptr);
 
 /// Plan-cached localized preconditioner factory: restricts `global_groups` to
 /// the rank's internal nodes, fetches the rank's plan from `cache` (distinct

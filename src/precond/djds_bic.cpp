@@ -464,34 +464,34 @@ reorder::Coloring color_for(const sparse::BlockCSR& a, const contact::Supernodes
 
 }  // namespace
 
-OwnedDJDSBIC::OwnedDJDSBIC(const sparse::BlockCSR& a, contact::Supernodes sn, int colors,
-                           int npe, bool sort_supernodes, Precision precision)
-    : a_(a), sn_(std::move(sn)) {
+OwnedDJDSBIC::OwnedDJDSBIC(const sparse::BlockCSR& a, const contact::Supernodes& sn, int colors,
+                           int npe, bool sort_supernodes, Precision precision) {
   obs::ScopedSpan span("precond.setup.DJDS-reorder");
-  const reorder::Coloring coloring = color_for(a_, sn_, colors);
+  const reorder::Coloring coloring = color_for(a, sn, colors);
   reorder::DJDSOptions opt;
   opt.npe = npe;
   opt.sort_supernodes_by_size = sort_supernodes;
   bool has_blocks = false;
-  for (const auto& m : sn_.members) has_blocks |= m.size() > 1;
-  dj_ = std::make_unique<reorder::DJDSMatrix>(a_, coloring, has_blocks ? &sn_ : nullptr, opt);
+  for (const auto& m : sn.members) has_blocks |= m.size() > 1;
+  dj_ = std::make_unique<reorder::DJDSMatrix>(a, coloring, has_blocks ? &sn : nullptr, opt);
   inner_ = std::make_unique<DJDSBIC>(*dj_, precision);
-  pr_.resize(a_.ndof());
-  pz_.resize(a_.ndof());
+  pr_.resize(a.ndof());
+  pz_.resize(a.ndof());
 }
 
 void OwnedDJDSBIC::apply(std::span<const double> r, std::span<double> z,
                          util::FlopCounter* flops, util::LoopStats* loops) const {
-  GEOFEM_CHECK(r.size() == a_.ndof() && z.size() == a_.ndof(),
-               "OwnedDJDSBIC apply size mismatch");
+  const int n = dj_->n();
+  const std::size_t ndof = static_cast<std::size_t>(n) * kB;
+  GEOFEM_CHECK(r.size() == ndof && z.size() == ndof, "OwnedDJDSBIC apply size mismatch");
   const auto& perm = dj_->perm();
-  for (int i = 0; i < a_.n; ++i)
+  for (int i = 0; i < n; ++i)
     for (int c = 0; c < kB; ++c)
       pr_[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * kB +
           static_cast<std::size_t>(c)] =
           r[static_cast<std::size_t>(i) * kB + static_cast<std::size_t>(c)];
   inner_->apply(pr_, pz_, flops, loops);
-  for (int i = 0; i < a_.n; ++i)
+  for (int i = 0; i < n; ++i)
     for (int c = 0; c < kB; ++c)
       z[static_cast<std::size_t>(i) * kB + static_cast<std::size_t>(c)] =
           pz_[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]) * kB +

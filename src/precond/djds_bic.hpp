@@ -142,13 +142,14 @@ class DJDSBIC final : public Preconditioner {
 /// Self-contained PDJDS/MC preconditioner that presents the ORIGINAL row
 /// ordering at its interface (permuting r/z internally), so it can drop into
 /// any solver — in particular as the per-domain localized preconditioner of
-/// the distributed hybrid runs. Owns the matrix copy, the ordering, and the
-/// factorization.
+/// the distributed hybrid runs. Owns the ordering (DJDSMatrix, a full
+/// permuted copy of the matrix) and the factorization.
 class OwnedDJDSBIC final : public Preconditioner {
  public:
   /// Builds MC coloring (quotient-graph based when `sn` has multi-node
-  /// supernodes), the DJDS ordering, and the factorization from `a` (copied).
-  OwnedDJDSBIC(const sparse::BlockCSR& a, contact::Supernodes sn, int colors, int npe,
+  /// supernodes), the DJDS ordering, and the factorization from `a`; keeps
+  /// no reference to `a` or `sn`.
+  OwnedDJDSBIC(const sparse::BlockCSR& a, const contact::Supernodes& sn, int colors, int npe,
                bool sort_supernodes = true, Precision precision = Precision::kDouble);
 
   void apply(std::span<const double> r, std::span<double> z, util::FlopCounter* flops,
@@ -162,8 +163,6 @@ class OwnedDJDSBIC final : public Preconditioner {
   [[nodiscard]] const DJDSBIC& inner() const { return *inner_; }
 
  private:
-  sparse::BlockCSR a_;
-  contact::Supernodes sn_;
   std::unique_ptr<reorder::DJDSMatrix> dj_;
   std::unique_ptr<DJDSBIC> inner_;
   mutable simd::aligned_vector<double> pr_, pz_;

@@ -1,8 +1,8 @@
 // Batched multi-RHS path suite (ctest label `batch`, DESIGN.md §5k):
 // SpMM/multi-vector kernels vs their single-RHS references, multi-column
 // preconditioner application, the batched CG driver (batch-of-1 bitwise
-// identity, per-column convergence masking, compaction), the batched
-// core/dist entry points, and service-level request coalescing.
+// identity, per-column convergence masking, compaction), the batched core
+// entry point, and service-level request coalescing.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +14,9 @@
 
 #include "contact/penalty.hpp"
 #include "core/geofem.hpp"
-#include "dist/dist_solver.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
 #include "par/par.hpp"
-#include "part/local_system.hpp"
-#include "part/partition.hpp"
 #include "precond/bic.hpp"
 #include "precond/diagonal.hpp"
 #include "precond/sb_bic0.hpp"
@@ -33,11 +30,9 @@
 
 namespace gc = geofem::contact;
 namespace gcore = geofem::core;
-namespace gd = geofem::dist;
 namespace gf = geofem::fem;
 namespace gm = geofem::mesh;
 namespace gpar = geofem::par;
-namespace gpart = geofem::part;
 namespace gp = geofem::precond;
 namespace gr = geofem::reorder;
 namespace gso = geofem::solver;
@@ -509,82 +504,6 @@ TEST(BatchCore, MultiBcColumnsBitwiseMatchScaledSinglePath) {
     for (std::size_t v = 0; v < single.a.val.size(); ++v)
       ASSERT_EQ(multi.a.val[v], single.a.val[v]);
   }
-}
-
-// ---------------------------------------------------------------------------
-// dist::solve_distributed_batched
-// ---------------------------------------------------------------------------
-
-TEST(BatchDist, BatchOfOneBitIdenticalAcrossFourRanks) {
-  ContactProblem pb;
-  const auto p = gpart::rcb_contact_aware(pb.mesh, 4);
-  auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
-  gd::DistOptions dopt;
-  dopt.cg.tolerance = 1e-8;
-  dopt.cg.record_residuals = true;
-
-  std::vector<double> x_ref;
-  const gd::DistResult ref = gd::solve_distributed(systems, [](const gpart::LocalSystem&,
-                                                               const gsp::BlockCSR& aii,
-                                                               gp::Precision) {
-    return std::make_unique<gp::BIC0>(aii);
-  }, dopt, &x_ref);
-  ASSERT_TRUE(ref.converged());
-
-  std::vector<std::vector<std::vector<double>>> rhs(1);
-  for (const auto& s : systems) rhs[0].push_back(s.b);
-  std::vector<std::vector<double>> xg;
-  const auto res = gd::solve_distributed_batched(
-      systems,
-      [](const gpart::LocalSystem&, const gsp::BlockCSR& aii, gp::Precision) {
-        return std::make_unique<gp::BIC0>(aii);
-      },
-      rhs, dopt, &xg);
-  ASSERT_EQ(res.size(), 1u);
-  ASSERT_EQ(xg.size(), 1u);
-  EXPECT_EQ(res[0].status, ref.status);
-  EXPECT_EQ(res[0].iterations, ref.iterations);
-  ASSERT_EQ(res[0].residual_history.size(), ref.residual_history.size());
-  for (std::size_t i = 0; i < ref.residual_history.size(); ++i)
-    ASSERT_EQ(res[0].residual_history[i], ref.residual_history[i]);
-  ASSERT_EQ(xg[0].size(), x_ref.size());
-  for (std::size_t i = 0; i < x_ref.size(); ++i) ASSERT_EQ(xg[0][i], x_ref[i]);
-}
-
-TEST(BatchDist, ColumnsMatchSequentialDriverAndRestoreRhs) {
-  ContactProblem pb;
-  const auto p = gpart::rcb_contact_aware(pb.mesh, 4);
-  auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
-  const auto factory = [](const gpart::LocalSystem&, const gsp::BlockCSR& aii, gp::Precision) {
-    return std::make_unique<gp::BIC0>(aii);
-  };
-  gd::DistOptions dopt;
-  dopt.cg.tolerance = 1e-8;
-
-  std::vector<std::vector<double>> saved_b;
-  for (const auto& s : systems) saved_b.push_back(s.b);
-  std::vector<std::vector<std::vector<double>>> rhs(2);
-  for (const auto& s : systems) {
-    rhs[0].push_back(s.b);
-    rhs[1].push_back(s.b);
-    for (auto& v : rhs[1].back()) v *= 2.0;
-  }
-  std::vector<std::vector<double>> xg;
-  const auto res = gd::solve_distributed_batched(systems, factory, rhs, dopt, &xg);
-  ASSERT_EQ(res.size(), 2u);
-  // the systems' own b vectors come back untouched
-  for (std::size_t r = 0; r < systems.size(); ++r) EXPECT_EQ(systems[r].b, saved_b[r]);
-  // each column equals the single-RHS driver run on that column's b
-  for (std::size_t c = 0; c < 2; ++c) {
-    for (std::size_t r = 0; r < systems.size(); ++r) systems[r].b = rhs[c][r];
-    std::vector<double> x_one;
-    const gd::DistResult one = gd::solve_distributed(systems, factory, dopt, &x_one);
-    EXPECT_EQ(res[c].status, one.status);
-    EXPECT_EQ(res[c].iterations, one.iterations);
-    ASSERT_EQ(xg[c].size(), x_one.size());
-    for (std::size_t i = 0; i < x_one.size(); ++i) ASSERT_EQ(xg[c][i], x_one[i]);
-  }
-  for (std::size_t r = 0; r < systems.size(); ++r) systems[r].b = saved_b[r];
 }
 
 // ---------------------------------------------------------------------------

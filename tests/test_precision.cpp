@@ -287,8 +287,9 @@ TEST(PrecisionDist, OverflowFallsBackInLockstepBitIdenticallyToFp64) {
 
 TEST(PrecisionDist, StagnatedFp32FallsBackInLockstepAndReplaysFp64Tail) {
   // The stagnation decision is allreduced, so every rank rebuilds at fp64
-  // together; the retry restarts cold, so the post-fallback part of the
-  // (all-attempts) history replays the direct fp64 run bit for bit.
+  // together; the retry restarts cold with its own full iteration budget, so
+  // the post-fallback part of the (all-attempts) history replays the direct
+  // fp64 run bit for bit.
   const Problem pb(1e12);
   const auto p = gpart::rcb_contact_aware(pb.mesh, 4);
   const auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
@@ -306,18 +307,16 @@ TEST(PrecisionDist, StagnatedFp32FallsBackInLockstepAndReplaysFp64Tail) {
   opt.precision = Precision::kSingle;
   const auto r32 = gd::solve_distributed(systems, bic, opt);
   EXPECT_EQ(r32.precision_fallbacks, 1);
+  EXPECT_EQ(r32.status, r64.status);
   const int burnt = r32.fallback_iterations;
   EXPECT_GT(burnt, 0);                         // fp32 iterated, then stalled
   EXPECT_LT(burnt, opt.cg.max_iterations);     // ... detected early
-  // All-attempts history: [1.0, fp32 residuals x burnt, 1.0, fp64 retry].
-  // The retry draws on the SHARED iteration budget, so it replays the first
-  // max_iterations - burnt residuals of the direct fp64 run bit for bit.
+  EXPECT_EQ(r32.iterations, burnt + r64.iterations);
+  // All-attempts history: [1.0, fp32 residuals x burnt, then the whole
+  // direct fp64 history, its own initial residual included].
   ASSERT_EQ(r32.residual_history.size(),
-            static_cast<std::size_t>(opt.cg.max_iterations) + 2);
-  const std::vector<double> replay(r32.residual_history.begin() + burnt + 1,
-                                   r32.residual_history.end());
-  const std::vector<double> direct(r64.residual_history.begin(),
-                                   r64.residual_history.begin() +
-                                       static_cast<std::ptrdiff_t>(replay.size()));
-  expect_bitwise_equal(direct, replay);
+            static_cast<std::size_t>(burnt) + 1 + r64.residual_history.size());
+  const std::vector<double> tail(r32.residual_history.begin() + burnt + 1,
+                                 r32.residual_history.end());
+  expect_bitwise_equal(r64.residual_history, tail);
 }

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "contact/penalty.hpp"
 #include "core/geofem.hpp"
@@ -19,6 +20,7 @@
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
 #include "nonlin/alm.hpp"
+#include "obs/registry.hpp"
 #include "part/partition.hpp"
 #include "precond/bic.hpp"
 #include "precond/diagonal.hpp"
@@ -356,6 +358,94 @@ TEST(DistFallback, HealthySolvePastWindowIsNotSpuriouslyStagnated) {
   for (SolveStatus s : res.status_per_rank) EXPECT_EQ(s, SolveStatus::kConverged);
   EXPECT_EQ(res.fallback_iterations, 0);
   EXPECT_GT(res.iterations, 80);  // the window was actually crossed
+}
+
+// ---------------------------------------------------------------------------
+// One ladder: a 1-domain distributed solve walks the serial rungs
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t counter_or_zero(const geofem::obs::Snapshot& snap, const std::string& name) {
+  const std::uint64_t* c = snap.counter(name);
+  return c ? *c : 0;
+}
+
+/// BIC(0) at lambda = 1e12 stagnates (window 100) and falls back to the block
+/// diagonal, serially through resilience.chain and distributed through the
+/// built-in last rung. A 1-domain partition keeps the global node order and
+/// both sides run the same ladder and the same pcg, so everything must agree:
+/// status, counters, burnt iterations, and the final attempt's residuals.
+/// The budget is below what the two attempts take together, so a ladder that
+/// shared one budget between its attempts would cut the block-diagonal
+/// attempt short on one side only.
+void expect_one_domain_ladder_parity(geofem::precond::Precision precision) {
+  Problem pb(1e12);
+  const auto sn = gc::build_supernodes(pb.sys.a.n, pb.mesh.contact_groups);
+
+  gcore::SolveConfig cfg;
+  cfg.precond = gcore::PrecondKind::kBIC0;
+  cfg.precision = precision;
+  cfg.cg.max_iterations = 200;
+  cfg.cg.record_residuals = true;
+  cfg.resilience.enabled = true;
+  cfg.resilience.stagnation_window = 100;
+  cfg.resilience.chain = {gcore::PrecondKind::kBlockDiagonal};
+  geofem::obs::Registry reg;
+  cfg.registry = &reg;
+  const auto srep = gcore::solve_system(pb.sys, sn, cfg);
+
+  gpart::Partition p;
+  p.num_domains = 1;
+  p.domain_of.assign(static_cast<std::size_t>(pb.mesh.num_nodes()), 0);
+  const auto systems = gpart::distribute(pb.sys.a, pb.sys.b, p);
+  gd::DistOptions opt;
+  opt.cg = cfg.cg;
+  opt.resilience = cfg.resilience;  // chain unused: the last rung is built in
+  opt.precision = precision;
+  const auto dres = gd::solve_distributed(
+      systems,
+      [](const gpart::LocalSystem&, const gs::BlockCSR& aii, gp::Precision pr) {
+        return std::make_unique<gp::BIC0>(aii, pr);
+      },
+      opt);
+
+  // Both rungs fail: BIC(0) stagnates, the block diagonal runs warm from its
+  // iterate and fails too.
+  ASSERT_EQ(srep.attempts.size(), 2u);
+  EXPECT_FALSE(srep.converged());
+  EXPECT_EQ(dres.status, srep.status);
+  EXPECT_EQ(dres.fallback_iterations, srep.fallback_iterations);
+  EXPECT_EQ(dres.precision_fallbacks, srep.precision_fallbacks);
+  EXPECT_EQ(dres.iterations, srep.fallback_iterations + srep.cg.iterations);
+  ASSERT_EQ(dres.obs_per_rank.size(), 1u);
+  const auto ssnap = reg.snapshot();
+  for (const char* event :
+       {"precision", "factorization_failed", "attempts", "recovered", "exhausted"}) {
+    SCOPED_TRACE(event);
+    EXPECT_EQ(counter_or_zero(dres.obs_per_rank[0], std::string("dist.fallback.") + event),
+              counter_or_zero(ssnap, std::string("core.fallback.") + event));
+  }
+  EXPECT_EQ(counter_or_zero(ssnap, "core.fallback.attempts"), srep.attempts.size());
+  EXPECT_EQ(counter_or_zero(ssnap, "core.fallback.exhausted"), 1u);
+  // The all-attempts history ends with the last attempt's, which is the
+  // serial report's history bit for bit.
+  const auto& sh = srep.cg.residual_history;
+  ASSERT_EQ(sh.size(), static_cast<std::size_t>(srep.cg.iterations) + 1);
+  ASSERT_GE(dres.residual_history.size(), sh.size());
+  const std::size_t restart = dres.residual_history.size() - sh.size();
+  for (std::size_t i = 0; i < sh.size(); ++i)
+    ASSERT_EQ(dres.residual_history[restart + i], sh[i]) << "residual " << i;
+}
+
+}  // namespace
+
+TEST(LadderParity, OneDomainDistWalksSerialRungs) {
+  expect_one_domain_ladder_parity(gp::Precision::kDouble);
+}
+
+TEST(LadderParity, OneDomainDistWalksSerialRungsAfterFp32Stagnation) {
+  expect_one_domain_ladder_parity(gp::Precision::kSingle);
 }
 
 // ---------------------------------------------------------------------------
