@@ -18,6 +18,14 @@ int hardware_threads() {
 #endif
 }
 
+int thread_num() {
+#ifdef _OPENMP
+  return omp_get_thread_num();
+#else
+  return 0;
+#endif
+}
+
 int resolve_threads(int requested) {
   return requested <= 0 ? hardware_threads() : requested;
 }

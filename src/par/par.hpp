@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 /// geofem::par — the hybrid-execution layer (DESIGN.md §5e).
@@ -133,21 +134,40 @@ struct LevelSchedule {
 /// Stable: rows of equal level keep ascending order.
 [[nodiscard]] LevelSchedule schedule_from_levels(std::span<const int> level_of);
 
+/// Index of the calling thread in its innermost parallel team (0 outside
+/// one, or without OpenMP).
+[[nodiscard]] int thread_num();
+
 /// Execute `row(i)` for every row of the schedule, level by level, with rows
 /// of one level spread over `team` threads. With team <= 1 (or a fully
 /// sequential schedule) the rows run serially in schedule order — same
-/// values either way, since rows within a level are independent.
+/// values either way, since rows within a level are independent. A row
+/// function taking `(i, slot)` also receives the executing thread's slot in
+/// [0, team), so per-thread staging can live in a buffer the caller owns.
 template <class RowFn>
 inline void for_levels(const LevelSchedule& s, int team, RowFn&& row) {
+  constexpr bool kSlotted = std::is_invocable_v<RowFn&, int, int>;
   if (team <= 1 || s.sequential()) {
-    for (int r : s.rows) row(r);
+    for (int r : s.rows) {
+      if constexpr (kSlotted) {
+        row(r, 0);
+      } else {
+        row(r);
+      }
+    }
     return;
   }
   for (int l = 0; l < s.num_levels(); ++l) {
     const auto lv = s.level(l);
     const std::ptrdiff_t m = static_cast<std::ptrdiff_t>(lv.size());
 #pragma omp parallel for schedule(static) num_threads(team) if (m > 1)
-    for (std::ptrdiff_t t = 0; t < m; ++t) row(lv[static_cast<std::size_t>(t)]);
+    for (std::ptrdiff_t t = 0; t < m; ++t) {
+      if constexpr (kSlotted) {
+        row(lv[static_cast<std::size_t>(t)], thread_num());
+      } else {
+        row(lv[static_cast<std::size_t>(t)]);
+      }
+    }
   }
 }
 

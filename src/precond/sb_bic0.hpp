@@ -109,6 +109,9 @@ class SBBIC0 final : public Preconditioner {
  private:
   void build_schedules();
   void narrow_storage();
+  /// Doubles of one thread's staging slot holding `columns` vectors of the
+  /// largest selective block, padded to a cache line.
+  [[nodiscard]] std::size_t staging_stride(int columns) const;
 
   /// Level-scheduled substitution, 3x3 accumulator chosen once per apply
   /// (simd::ScalarAcc3 reproduces the historical arithmetic bit-for-bit).
