@@ -47,7 +47,7 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
     res.iterations = one.iterations;
     res.solve_seconds = one.solve_seconds;
     res.flops = one.flops;
-    res.loops = one.loops;
+    res.loops = std::move(one.loops);
     res.columns[0].status = one.status;
     res.columns[0].iterations = one.iterations;
     res.columns[0].relative_residual = one.relative_residual;
@@ -128,6 +128,11 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
       beta(static_cast<std::size_t>(k));
   std::vector<int> iters(static_cast<std::size_t>(k), 0);
   std::vector<int> keep(static_cast<std::size_t>(k));
+  // Per-column stagnation rings, the single-RHS solver's test per column:
+  // after its j-th iteration, slot j % W of column c (caller's order) holds
+  // its relative residual from W iterations ago.
+  const int window = opt.cg.stagnation_window;
+  std::vector<double> stag_ring(window > 0 ? static_cast<std::size_t>(window) * k : 0);
 
   // Columns already at tolerance before the first iteration.
   for (int c = st.kw - 1; c >= 0; --c)
@@ -200,9 +205,20 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
         res.columns[static_cast<std::size_t>(st.col_map[cc])].residual_history.push_back(rel);
       if (!std::isfinite(st.rnorm[cc])) {
         freeze(c, SolveStatus::kBreakdown, iters[cc]);
-      } else if (rel <= st.tol[cc]) {
-        freeze(c, SolveStatus::kConverged, iters[cc]);
+        continue;
       }
+      if (window > 0) {
+        const int j = iters[cc] - 1;
+        double& slot = stag_ring[static_cast<std::size_t>(st.col_map[cc]) *
+                                     static_cast<std::size_t>(window) +
+                                 static_cast<std::size_t>(j % window)];
+        if (j >= window && rel > 0.99 * slot) {
+          freeze(c, SolveStatus::kStagnated, iters[cc]);
+          continue;
+        }
+        slot = rel;
+      }
+      if (rel <= st.tol[cc]) freeze(c, SolveStatus::kConverged, iters[cc]);
     }
 
     // Compact: repack live columns into a narrower interleaved stride so the

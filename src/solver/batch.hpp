@@ -17,10 +17,11 @@ using MatVecMulti = std::function<void(std::span<const double>, std::span<double
 struct BatchedCGOptions {
   /// Shared solver controls. `cg.tolerance` is the default for every column
   /// (see `tolerances`); `cg.max_iterations` bounds the shared outer loop.
-  /// Restrictions for k > 1: only CGVariant::kClassic is supported (checked)
-  /// and `stagnation_window` is ignored — frozen-column masking has no analog
-  /// of the single-RHS stagnation ring. Batch-of-1 delegates to solver::pcg
-  /// and honors every option bit-identically.
+  /// For k > 1 only CGVariant::kClassic is supported (checked), and
+  /// `stagnation_window` applies per column: a column whose residual makes
+  /// no progress over its last `stagnation_window` iterations freezes as
+  /// kStagnated. Batch-of-1 delegates to solver::pcg and honors every option
+  /// bit-identically.
   CGOptions cg;
   /// Optional per-column tolerance overrides; empty (all columns use
   /// cg.tolerance) or exactly k entries.
@@ -57,10 +58,10 @@ struct BatchedCGResult {
 /// Batched preconditioned CG: solves A x_c = b_c for k right-hand sides with
 /// ONE SpMM and ONE multi-column preconditioner application per iteration,
 /// per-column alpha/beta/rho recurrences, and per-column convergence masking
-/// (a converged or broken-down column freezes: its solution is emitted at
-/// freeze time and the masked updates never touch it again). `b` and `x`
-/// hold k interleaved columns (dof-major, value(i, c) = b[i*k+c]); `x` holds
-/// initial guesses on entry and solutions on return.
+/// (a converged, broken-down or stagnated column freezes: its solution is
+/// emitted at freeze time and the masked updates never touch it again).
+/// `b` and `x` hold k interleaved columns (dof-major, value(i, c) =
+/// b[i*k+c]); `x` holds initial guesses on entry and solutions on return.
 ///
 /// Contract: k == 1 delegates wholesale to solver::pcg through `amul`
 /// (bit-identical solution AND residual history to a plain single-RHS
