@@ -7,9 +7,10 @@
 //   * CRS no reorder  — neither vectorizable nor SMP-parallel in the IC
 //                       substitution: ~0.3 GFLOPS
 //
-// The innermost-loop-length histograms are measured from the real execution
-// of each format on each problem size; the GFLOPS column replays them through
-// the Earth Simulator vector model (8 PEs). The host wall-clock columns are
+// The innermost-loop counts and total lengths are measured from the real
+// execution of each format on each problem size; the GFLOPS column replays
+// them through the Earth Simulator vector model (8 PEs), whose per-loop cost
+// (n + n_half) * fpe / rinf is linear in n, so those two sums drive it exactly. The host wall-clock columns are
 // reported for reference, twice per format: once under the build's active
 // SIMD tier and once under simd::IsaScope(kScalar) — the modern re-run of the
 // paper's vectorized-vs-scalar comparison on the same storage formats.

@@ -279,7 +279,7 @@ std::vector<SolveReport> solve_columns(const sparse::BlockCSR& a, const contact:
       rep.cg.solve_seconds = bres.solve_seconds;
       if (c == 0) {
         rep.cg.flops = bres.flops;
-        rep.cg.loops = std::move(bres.loops);
+        rep.cg.loops = bres.loops;
       }
       rep.solution.resize(nd);
       for_each_dof(dj, a.n, k, c,

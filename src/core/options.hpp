@@ -22,7 +22,8 @@ struct SolveOptionsBase {
   solver::CGOptions cg;
 
   /// OpenMP team size of the hybrid kernels (SpMV, BLAS-1, substitution
-  /// sweeps); 0 = all hardware threads — the paper's "PEs per SMP node".
+  /// sweeps); 0 = this solve's share of the hardware threads — the paper's
+  /// "PEs per SMP node" (par::resolve_threads: per service worker / rank).
   /// Residual histories are bit-identical for any value (DESIGN.md §5e).
   int threads = 0;
 

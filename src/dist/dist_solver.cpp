@@ -122,7 +122,6 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
 
   DistResult res;
   res.flops_per_rank.resize(static_cast<std::size_t>(ndom));
-  res.loops_per_rank.resize(static_cast<std::size_t>(ndom));
   res.precond_bytes_per_rank.assign(static_cast<std::size_t>(ndom), 0);
   std::vector<double> setup_seconds(static_cast<std::size_t>(ndom), 0.0);
   std::vector<int> iters(static_cast<std::size_t>(ndom), 0);
@@ -174,13 +173,12 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     const std::size_t rank = static_cast<std::size_t>(comm.rank());
     const part::LocalSystem& ls = systems[rank];
     auto* fc = &res.flops_per_rank[rank];
-    auto* lp = &res.loops_per_rank[rank];
     const std::size_t ni = static_cast<std::size_t>(ls.num_internal) * 3;
     const std::size_t nl = static_cast<std::size_t>(ls.num_local()) * 3;
 
     // Hybrid execution: every kernel this rank thread calls (SpMV, BLAS-1,
-    // preconditioner sweeps) runs on a team of opt.threads OpenMP threads.
-    par::TeamScope team_scope(opt.threads);
+    // preconditioner sweeps) runs on opt.threads (0: a 1/ndom share of the host).
+    par::TeamScope team_scope(par::resolve_threads(opt.threads, ndom));
     const part::LocalSystem::RowSplit split = ls.row_split();
 
     // Per-rank telemetry: each rank owns a registry for the duration of the
@@ -210,6 +208,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
     int total_iters = 0;
     double last_rel = std::numeric_limits<double>::quiet_NaN();  // NaN: no norm yet
     std::vector<double> history;
+    util::LoopStats loops;  // across attempts, for the rank's telemetry
     // Folds the attempt in `cg` into the rank totals.
     auto absorb = [&] {
       in_flight = false;
@@ -217,7 +216,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
       if (!std::isnan(cg.relative_residual)) last_rel = cg.relative_residual;
       history.insert(history.end(), cg.residual_history.begin(), cg.residual_history.end());
       *fc += cg.flops;
-      lp->merge(cg.loops);
+      loops.merge(cg.loops);
     };
     auto report = [&](SolveStatus st) {
       // A primary build that failed everywhere still counts as an attempt at
@@ -388,7 +387,7 @@ DistResult solve_distributed(const std::vector<part::LocalSystem>& systems,
         rank_reg.gauge("dist.precond_bytes")
             ->set(static_cast<double>(res.precond_bytes_per_rank[rank]));
         rank_reg.absorb("dist", *fc);
-        rank_reg.absorb("dist", *lp);
+        rank_reg.absorb("dist", loops);
         // traffic up to this point; the telemetry gather itself is not counted
         export_traffic(comm.traffic(), rank_reg);
         const std::vector<double> blob = encode(rank_reg.snapshot());

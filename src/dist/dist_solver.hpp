@@ -92,7 +92,6 @@ struct DistResult {
   double solve_seconds = 0.0;       ///< wall clock of the whole parallel solve
   double setup_seconds_max = 0.0;   ///< slowest rank's preconditioner set-up
   std::vector<util::FlopCounter> flops_per_rank;
-  std::vector<util::LoopStats> loops_per_rank;
   std::vector<TrafficStats> traffic_per_rank;
   std::vector<std::size_t> precond_bytes_per_rank;
   /// Telemetry (empty when DistOptions::telemetry is off): every rank's

@@ -26,8 +26,8 @@ int thread_num() {
 #endif
 }
 
-int resolve_threads(int requested) {
-  return requested <= 0 ? hardware_threads() : requested;
+int resolve_threads(int requested, int solvers) {
+  return requested > 0 ? requested : std::max(1, hardware_threads() / std::max(1, solvers));
 }
 
 namespace {

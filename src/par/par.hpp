@@ -32,9 +32,10 @@ namespace geofem::par {
 /// Threads the host offers (omp_get_max_threads, 1 without OpenMP).
 [[nodiscard]] int hardware_threads();
 
-/// Resolve a requested team size: 0 (or negative) means "all hardware
-/// threads"; anything else is taken as given (clamped to >= 1).
-[[nodiscard]] int resolve_threads(int requested);
+/// Resolve a requested team size: 0 (or negative) means hardware_threads()
+/// split over `solvers` concurrent solves (at least 1), so the default never
+/// oversubscribes the host; a positive request is taken as given.
+[[nodiscard]] int resolve_threads(int requested, int solvers = 1);
 
 /// Team size for hybrid kernels on the calling thread. Defaults to all
 /// hardware threads; overridden per thread by TeamScope (which is how

@@ -5,12 +5,9 @@
 namespace geofem::perf {
 
 double EsModel::vector_seconds(const util::LoopStats& loops, double flops_per_entry) const {
-  double t = 0.0;
-  for (const auto& e : loops.entries()) {
-    t += static_cast<double>(e.times) * (static_cast<double>(e.length) + n_half) *
+  return (static_cast<double>(loops.total_length()) +
+          static_cast<double>(loops.count()) * n_half) *
          flops_per_entry / rinf_per_pe;
-  }
-  return t;
 }
 
 double EsModel::comm_seconds(const dist::TrafficStats& traffic, int ranks) const {

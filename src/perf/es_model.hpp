@@ -10,7 +10,7 @@ namespace geofem::perf {
 /// has no vector processors and no interconnect, so the paper's GFLOPS /
 /// speed-up / work-ratio panels are *replayed* through this model, driven by
 /// exactly measured quantities of the real algorithm execution: FLOP counts,
-/// innermost-loop-length histograms, and message counts/bytes. Only the
+/// innermost-loop counts and total lengths, and message counts/bytes. Only the
 /// machine's response (pipeline fill, latency, bandwidth, OpenMP fork/join)
 /// is synthetic. DESIGN.md documents this substitution.
 ///
@@ -31,9 +31,9 @@ struct EsModel {
   double allreduce_latency = 16.0e-6;  ///< per allreduce per doubling step
   double omp_sync = 3.0e-6;        ///< per OpenMP fork/join (hybrid only)
 
-  /// Seconds one PE needs to execute vector loops with the given length
-  /// histogram, at `flops_per_entry` FLOPs per loop element:
-  /// each loop of length n costs (n + n_half) * fpe / rinf.
+  /// Seconds one PE needs for the measured vector loops at `flops_per_entry`
+  /// FLOPs per element: a loop of length n costs (n + n_half) * fpe / rinf,
+  /// linear in n, so all of them cost (total_length + count * n_half) * fpe / rinf.
   [[nodiscard]] double vector_seconds(const util::LoopStats& loops,
                                       double flops_per_entry) const;
 

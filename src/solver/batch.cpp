@@ -47,7 +47,7 @@ BatchedCGResult pcg_batched(const MatVec& amul, const MatVecMulti& amul_multi,
     res.iterations = one.iterations;
     res.solve_seconds = one.solve_seconds;
     res.flops = one.flops;
-    res.loops = std::move(one.loops);
+    res.loops = one.loops;
     res.columns[0].status = one.status;
     res.columns[0].iterations = one.iterations;
     res.columns[0].relative_residual = one.relative_residual;

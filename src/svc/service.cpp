@@ -28,6 +28,8 @@ SolverService::SolverService(ServiceOptions opt)
     : opt_(std::move(opt)),
       cache_(opt_.cache_capacity, opt_.cache_shards) {
   if (opt_.workers < 1) opt_.workers = 1;
+  // Workers solve concurrently: each gets its share of the hardware threads.
+  opt_.solve.threads = par::resolve_threads(opt_.solve.threads, opt_.workers);
   if (opt_.queue_capacity == 0) opt_.queue_capacity = 1;
   if (opt_.interactive_burst < 1) opt_.interactive_burst = 1;
   // The PDJDS plans revalue plan-owned DJDS storage in numeric(), so

@@ -1,26 +1,23 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 namespace geofem::util {
 
-/// Histogram of innermost-loop trip counts executed by a vectorizable kernel.
-///
-/// On the Earth Simulator the sustained rate of a vector loop is a strong
-/// function of its trip count ("average vector length" in the paper's Figs
-/// 26(d)/27(d)/30(d)/31(d)). We record every innermost loop length actually
-/// executed so the machine model can integrate rate(n) over the real
-/// distribution instead of guessing.
+/// Innermost-loop trip counts executed by a vectorizable kernel: loop count,
+/// total length, shortest and longest loop ("average vector length" in the
+/// paper's Figs 26(d)/27(d)/30(d)/31(d)). The machine model's per-loop cost
+/// (n + n_half) * fpe / rinf is linear in n, so count and total length drive
+/// it exactly. Fixed size: record never allocates, merge is O(1).
 class LoopStats {
  public:
   void record(std::int64_t length, std::int64_t times = 1) {
     if (length <= 0 || times <= 0) return;
+    min_ = count_ == 0 ? length : std::min(min_, length);
+    max_ = std::max(max_, length);
     total_length_ += length * times;
     count_ += times;
-    if (length > max_) max_ = length;
-    if (length < min_ || count_ == times) min_ = length;
-    lengths_.push_back({length, times});
   }
 
   [[nodiscard]] double average() const {
@@ -32,24 +29,21 @@ class LoopStats {
   [[nodiscard]] std::int64_t max_length() const { return max_; }
   [[nodiscard]] std::int64_t min_length() const { return count_ == 0 ? 0 : min_; }
 
-  struct Entry {
-    std::int64_t length;
-    std::int64_t times;
-  };
-  [[nodiscard]] const std::vector<Entry>& entries() const { return lengths_; }
-
   void merge(const LoopStats& o) {
-    for (const auto& e : o.lengths_) record(e.length, e.times);
+    if (o.count_ == 0) return;
+    min_ = count_ == 0 ? o.min_ : std::min(min_, o.min_);
+    max_ = std::max(max_, o.max_);
+    total_length_ += o.total_length_;
+    count_ += o.count_;
   }
 
   void reset() { *this = LoopStats{}; }
 
  private:
-  std::vector<Entry> lengths_;
-  std::int64_t total_length_ = 0;
   std::int64_t count_ = 0;
-  std::int64_t max_ = 0;
+  std::int64_t total_length_ = 0;
   std::int64_t min_ = 0;
+  std::int64_t max_ = 0;
 };
 
 }  // namespace geofem::util

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -11,6 +12,7 @@
 #include "mesh/hex_mesh.hpp"
 #include "part/local_system.hpp"
 #include "part/partition.hpp"
+#include "par/par.hpp"
 #include "precond/bic.hpp"
 #include "precond/diagonal.hpp"
 #include "precond/sb_bic0.hpp"
@@ -271,4 +273,24 @@ TEST(DistSolver, TracksTrafficAndFlops) {
   }
   EXPECT_GT(res.total_flops().spmv, 0u);
   EXPECT_GT(res.total_flops().precond, 0u);
+}
+
+TEST(DistSolver, DefaultThreadsSplitHardwareOverRanks) {
+  // threads = 0 gives each rank its share of the hardware threads, so four
+  // concurrent rank teams never oversubscribe the host.
+  Problem pb(1e4);
+  auto systems = gpart::distribute(pb.sys.a, pb.sys.b, gpart::rcb_contact_aware(pb.mesh, 4));
+  gd::DistOptions dopt;
+  dopt.telemetry = true;
+  const auto dres = gd::solve_distributed(systems, bic0_factory(), dopt);
+  ASSERT_TRUE(dres.converged());
+  const double bound = std::max(1, geofem::par::hardware_threads() / 4);
+  ASSERT_EQ(dres.obs_per_rank.size(), 4u);
+  for (const auto& snap : dres.obs_per_rank) {
+    const auto it = std::find_if(snap.meta_numbers.begin(), snap.meta_numbers.end(),
+                                 [](const auto& kv) { return kv.first == "threads"; });
+    ASSERT_NE(it, snap.meta_numbers.end());
+    EXPECT_GE(it->second, 1.0);
+    EXPECT_LE(it->second, bound);
+  }
 }

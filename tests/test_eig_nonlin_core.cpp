@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "contact/penalty.hpp"
 #include "core/geofem.hpp"
@@ -223,6 +225,23 @@ TEST(EsModel, LongerLoopsFasterRate) {
   const double t = es.vector_seconds(long_loops, 18.0);
   const double rate = 10000.0 * 18.0 / t;
   EXPECT_GT(rate, 0.9 * es.rinf_per_pe);
+}
+
+TEST(EsModel, VectorSecondsIsThePerLoopSum) {
+  // The closed form over (count, total_length) equals charging every loop
+  // (len + n_half) * fpe / rinf one by one.
+  geofem::perf::EsModel es;
+  const std::pair<std::int64_t, std::int64_t> recs[] = {
+      {1, 1}, {7, 3}, {170, 2}, {513, 1}, {24, 40}, {100000, 2}, {0, 5}, {9, -1}};
+  geofem::util::LoopStats loops;
+  double expect = 0.0;
+  for (const auto& [len, times] : recs) {
+    loops.record(len, times);
+    if (len > 0 && times > 0)
+      expect += static_cast<double>(times) * (static_cast<double>(len) + es.n_half) * 18.0 /
+                es.rinf_per_pe;
+  }
+  EXPECT_NEAR(es.vector_seconds(loops, 18.0), expect, 1e-12 * expect);
 }
 
 TEST(EsModel, CommLatencyVsBandwidth) {

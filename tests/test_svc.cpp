@@ -16,6 +16,7 @@
 #include "core/geofem.hpp"
 #include "fem/assembly.hpp"
 #include "mesh/simple_block.hpp"
+#include "par/par.hpp"
 #include "plan/cache.hpp"
 #include "plan/plan.hpp"
 #include "svc/service.hpp"
@@ -384,6 +385,24 @@ TEST(SvcService, TelemetryLandsInServiceRegistry) {
   bool saw_setup = false;
   for (const auto& sp : snap.spans) saw_setup |= sp.name == "core.setup";
   EXPECT_TRUE(saw_setup);
+}
+
+TEST(SvcService, DefaultThreadsSplitHardwareOverWorkers) {
+  // Default options: threads = 0 gives every worker its share of the
+  // hardware threads, so concurrent solves never oversubscribe the host.
+  const gm::HexMesh mesh = gm::simple_block({3, 3, 2, 3, 3});
+  const gsvc::ServiceOptions opt;
+  gsvc::SolverService svc(opt);
+  const gsvc::ModelId model = svc.register_model(mesh, {{1.0, 0.3}}, Problem::make_bc(mesh));
+  gsvc::SolveRequest req;
+  req.model = model;
+  req.lambda = 1e4;
+  ASSERT_TRUE(svc.submit(req).get().accepted());
+  const auto snap = svc.registry().snapshot();
+  const double* threads = snap.gauge("core.threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_GE(*threads, 1.0);
+  EXPECT_LE(*threads, std::max(1, geofem::par::hardware_threads() / opt.workers));
 }
 
 // ---------------------------------------------------------------------------

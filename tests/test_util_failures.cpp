@@ -6,6 +6,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "contact/penalty.hpp"
 #include "fem/assembly.hpp"
@@ -26,6 +27,9 @@ namespace gu = geofem::util;
 namespace gs = geofem::sparse;
 namespace gm = geofem::mesh;
 
+// Four counters, no per-loop list: reports that carry it stay fixed-size.
+static_assert(std::is_trivially_copyable_v<gu::LoopStats>);
+
 TEST(LoopStats, AverageAndMerge) {
   gu::LoopStats a, b;
   a.record(10, 2);
@@ -38,10 +42,39 @@ TEST(LoopStats, AverageAndMerge) {
   b.merge(a);
   EXPECT_EQ(b.count(), 4);
   EXPECT_EQ(b.total_length(), 140);
+  EXPECT_EQ(b.min_length(), 10);
+  EXPECT_EQ(b.max_length(), 100);
   // zero/negative records ignored
   b.record(0);
   b.record(-5);
+  b.record(7, 0);
   EXPECT_EQ(b.count(), 4);
+  EXPECT_EQ(b.min_length(), 10);
+
+  // Merging from an empty side changes nothing (min/max kept) ...
+  gu::LoopStats empty;
+  b.merge(empty);
+  EXPECT_EQ(b.count(), 4);
+  EXPECT_EQ(b.total_length(), 140);
+  EXPECT_EQ(b.min_length(), 10);
+  EXPECT_EQ(b.max_length(), 100);
+  // ... and merging into an empty one copies all four numbers.
+  gu::LoopStats c;
+  c.merge(a);
+  EXPECT_EQ(c.count(), 3);
+  EXPECT_EQ(c.total_length(), 40);
+  EXPECT_EQ(c.min_length(), 10);
+  EXPECT_EQ(c.max_length(), 20);
+
+  b.reset();
+  EXPECT_EQ(b.count(), 0);
+  EXPECT_EQ(b.total_length(), 0);
+  EXPECT_EQ(b.min_length(), 0);
+  EXPECT_EQ(b.max_length(), 0);
+  EXPECT_DOUBLE_EQ(b.average(), 0.0);
+  b.record(50);
+  EXPECT_EQ(b.min_length(), 50);
+  EXPECT_EQ(b.max_length(), 50);
 }
 
 TEST(Rng, DeterministicAndBounded) {
